@@ -39,6 +39,7 @@ import pathlib
 from typing import Dict, Optional, TypeVar
 
 from repro.analysis.report import ExperimentRecord
+from repro.experiment.context import workers_from_env
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -61,11 +62,8 @@ def quick(full: T, tiny: T) -> T:
 
 def sweep_workers() -> Optional[int]:
     """Pool size from ``$REPRO_WORKERS``; None means serial."""
-    value = os.environ.get("REPRO_WORKERS", "")
-    if not value:
-        return None
-    workers = int(value)
-    return workers if workers > 1 else None
+    workers = workers_from_env(None)
+    return workers if workers is not None and workers > 1 else None
 
 
 def sweep_cache():

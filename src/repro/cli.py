@@ -79,6 +79,7 @@ from .core import apply_upgrade, plan_upgrade
 from .core.designs import DesignBundle
 from .dtn import Dataset, TransferPlan, TOOL_REGISTRY
 from .errors import ReproError, ServeError
+from .experiment.context import workers_from_env
 # The design registry moved to the experiment layer (specs refer to the
 # same names); re-exported here because callers and tests iterate
 # ``cli.DESIGNS``.
@@ -311,10 +312,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "mss_bytes": [int(parse_size(args.mss).bytes)],
     }
 
-    workers = args.workers
-    if workers is None:
-        env = os.environ.get("REPRO_WORKERS", "")
-        workers = int(env) if env else 1
+    workers = (args.workers if args.workers is not None
+               else workers_from_env())
     cache = None
     if args.cache or args.cache_dir is not None:
         cache = ResultCache(args.cache_dir or
@@ -356,10 +355,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     spec = ExperimentSpec.from_file(args.spec)
 
-    workers = args.workers
-    if workers is None:
-        env = os.environ.get("REPRO_WORKERS", "")
-        workers = int(env) if env else 1
+    workers = (args.workers if args.workers is not None
+               else workers_from_env())
     cache = None
     if args.cache or args.cache_dir is not None:
         cache = (args.cache_dir
@@ -502,10 +499,8 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             OracleSpec(name=n, params=tuple(sorted(p.items())))
             for n, p in oracle_items))
 
-    workers = args.workers
-    if workers is None:
-        env = os.environ.get("REPRO_WORKERS", "")
-        workers = int(env) if env else 1
+    workers = (args.workers if args.workers is not None
+               else workers_from_env())
     cache = None
     if args.cache or args.cache_dir is not None:
         cache = (args.cache_dir
@@ -693,10 +688,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if args.cache or args.cache_dir is not None:
         cache = (args.cache_dir
                  or os.environ.get("REPRO_CACHE_DIR", ".repro-cache"))
-    workers = args.workers
-    if workers is None:
-        env = os.environ.get("REPRO_WORKERS", "")
-        workers = int(env) if env else 2
+    workers = (args.workers if args.workers is not None
+               else workers_from_env(2))
     service = ExperimentService(
         workers=workers,
         capacity=args.capacity,

@@ -35,10 +35,30 @@ from ..exec.seeding import derive_seed
 from ..telemetry import MetricsRegistry, ensure_tracer
 from ..vectorize import check_engine, default_backend
 
-__all__ = ["RunContext", "DEFAULT_RUNS_DIR"]
+__all__ = ["RunContext", "DEFAULT_RUNS_DIR", "workers_from_env"]
 
 #: Default root for per-run artifact directories.
 DEFAULT_RUNS_DIR = "runs"
+
+
+def workers_from_env(default: Optional[int] = 1) -> Optional[int]:
+    """The pool size ``REPRO_WORKERS`` asks for, or ``default`` when it
+    is unset or empty.
+
+    Raises :class:`~repro.errors.ConfigurationError` (exit 2 from the
+    CLI) for a value that is not an integer or is below 1.
+    """
+    value = os.environ.get("REPRO_WORKERS", "")
+    if not value:
+        return default
+    try:
+        workers = int(value)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ConfigurationError(
+            f"REPRO_WORKERS must be an integer >= 1, got {value!r}")
+    return workers
 
 
 class RunContext:
@@ -118,8 +138,7 @@ class RunContext:
         than a traceback from the first kernel call).
         """
         if "workers" not in overrides:
-            value = os.environ.get("REPRO_WORKERS", "")
-            overrides["workers"] = int(value) if value else None
+            overrides["workers"] = workers_from_env(None)
         if "cache" not in overrides:
             value = os.environ.get("REPRO_CACHE", "")
             if value and value != "0":

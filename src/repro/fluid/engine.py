@@ -18,12 +18,16 @@ Each tick advances *classes*, not flows:
    ssthresh, and the receive-window cap mirroring the exact kernels'
    arithmetic (the same :class:`~repro.tcp.congestion.CongestionControl`
    batch methods);
-5. births advance a pointer over start-time-sorted members; deaths pop
+5. births are one ``searchsorted`` slice of the start-sorted schedule
+   per tick, applied to the class counters with array ops; deaths pop
    a per-class heap of finish thresholds expressed in cumulative
-   per-stream delivered bits, so neither ever walks the population.
+   per-stream delivered bits, visiting only classes where a member
+   finished.  The only per-flow interpreter work is one heap push at
+   birth and one pop at death.
 
-Per-tick cost is O(classes + links); total birth/death cost is
-O(flows log flows) over the whole run.  The engine is deterministic —
+Per-tick cost is O(classes + links) plus the flows born or finishing
+in that tick; total birth/death cost is O(flows log flows) over the
+whole run.  The engine is deterministic —
 loss is an expectation, not a sample — so it needs no RNG.
 
 This is the approximate tier: see :mod:`repro.fluid` for the accuracy
@@ -39,8 +43,9 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from ..errors import SimulationError
+from ..tcp.congestion import algorithm_key
 from ..tcp.simulate import _ProgressiveFiller
-from .classes import FlowClass, algorithm_key
+from .classes import FlowClass
 
 __all__ = ["DEFAULT_SWITCHOVER", "FluidEngine", "FluidResult"]
 
@@ -104,10 +109,14 @@ class FluidEngine:
 
         n_cls, n_links = len(self.classes), self._caps.size
         usage = np.zeros((n_cls, n_links), dtype=bool)
+        link_sets = {}
+        row_of = np.empty(n_cls, dtype=np.int64)
         for c, cls in enumerate(self.classes):
             usage[c, list(cls.link_indices)] = True
+            row_of[c] = link_sets.setdefault(cls.link_indices,
+                                             len(link_sets))
         self._usage = usage
-        self._filler = _ProgressiveFiller(usage, self._caps)
+        self._filler = _ProgressiveFiller(usage, self._caps, row_of=row_of)
 
         self._rtt = np.array([c.rtt_s for c in self.classes])
         self._mss = np.array([c.mss_bits for c in self.classes])
@@ -172,6 +181,7 @@ class FluidEngine:
         order = np.lexsort((b_flows, b_starts))
         b_starts, b_flows = b_starts[order], b_flows[order]
         b_class, b_size = b_class[order], b_size[order]
+        n_births = b_starts.size
         bp = 0  # birth pointer
 
         # Class population state.  Slow start is tracked as the
@@ -210,22 +220,34 @@ class FluidEngine:
         for tick in range(max_ticks):
             if now >= horizon_s:
                 break
-            while bp < b_starts.size and b_starts[bp] <= now:
-                f, c = int(b_flows[bp]), int(b_class[bp])
-                started[f] = True
-                class_of[f] = c
-                streams_of[f] = streams_c[c]
-                d_birth[f] = D[c]
-                n_flows_live[c] += 1
-                n_streams_live[c] += streams_c[c]
-                if np.isfinite(b_size[bp]):
-                    heapq.heappush(heaps[c], (float(D[c] + b_size[bp]), f))
-                    next_death[c] = heaps[c][0][0]
-                bp += 1
+            # Births: the start-sorted schedule's next slice.  Live
+            # counts are small exact integers, so adding them per class
+            # in one bincount equals adding them one birth at a time.
+            hi = (int(np.searchsorted(b_starts, now, side="right"))
+                  if bp < n_births else bp)
+            if hi > bp:
+                f_new, c_new = b_flows[bp:hi], b_class[bp:hi]
+                started[f_new] = True
+                class_of[f_new] = c_new
+                streams_of[f_new] = streams_c[c_new]
+                d_birth[f_new] = D[c_new]
+                n_flows_live += np.bincount(c_new, minlength=n_cls)
+                n_streams_live += np.bincount(
+                    c_new, weights=streams_c[c_new], minlength=n_cls)
+                sized = np.isfinite(b_size[bp:hi])
+                if sized.any():
+                    c_sized = c_new[sized].tolist()
+                    thresholds = D[c_new[sized]] + b_size[bp:hi][sized]
+                    for c, thr, f in zip(c_sized, thresholds.tolist(),
+                                         f_new[sized].tolist()):
+                        heapq.heappush(heaps[c], (thr, f))
+                    for c in set(c_sized):
+                        next_death[c] = heaps[c][0][0]
+                bp = hi
 
             live = n_streams_live > 0.0
             if not live.any():
-                if bp < b_starts.size:
+                if bp < n_births:
                     now = min(float(b_starts[bp]), horizon_s)
                     continue
                 if not until_given:
@@ -272,18 +294,33 @@ class FluidEngine:
             inc = rate_ps * dt
             D += inc
             agg += inc * n_streams_live
-            for c in np.nonzero(D >= next_death)[0]:
-                heap = heaps[c]
-                while heap and heap[0][0] <= D[c]:
-                    thr, f = heapq.heappop(heap)
-                    over = D[c] - thr
-                    finish_s[f] = (now + dt - over / rate_ps[c]
-                                   if rate_ps[c] > 0.0 else now + dt)
-                    n_flows_live[c] -= 1
-                    n_streams_live[c] -= streams_of[f]
-                    agg[c] -= over * streams_of[f]
-                    n_unfinished -= 1
-                next_death[c] = heap[0][0] if heap else np.inf
+            dying = np.nonzero(D >= next_death)[0]
+            if dying.size:
+                # Each class's state is read into Python floats once;
+                # every member shares the class's stream count, and
+                # ``agg`` is reduced one finisher at a time, in pop order.
+                dead, dead_at = [], []
+                end = now + dt
+                for c, d, rate, a, s in zip(
+                        dying.tolist(), D[dying].tolist(),
+                        rate_ps[dying].tolist(), agg[dying].tolist(),
+                        streams_c[dying].tolist()):
+                    heap = heaps[c]
+                    popped = 0
+                    while heap and heap[0][0] <= d:
+                        thr, f = heapq.heappop(heap)
+                        over = d - thr
+                        dead.append(f)
+                        dead_at.append(end - over / rate if rate > 0.0
+                                       else end)
+                        a -= over * s
+                        popped += 1
+                    agg[c] = a
+                    n_flows_live[c] -= popped
+                    n_streams_live[c] -= popped * s
+                    n_unfinished -= popped
+                    next_death[c] = heap[0][0] if heap else np.inf
+                finish_s[dead] = dead_at
 
             # Per-RTT mean-field window update: the expectation of the
             # per-flow rule under loss fraction P.

@@ -308,3 +308,17 @@ def algorithm_by_name(name: str) -> CongestionControl:
         raise ConfigurationError(
             f"unknown congestion-control algorithm {name!r}; known: {known}"
         ) from None
+
+
+def algorithm_key(algo: CongestionControl):
+    """Group key for a congestion-control instance.
+
+    Algorithms are stateless by contract, so instances of the same class
+    with equal attributes are interchangeable: the multi-flow kernels
+    and the fluid engine batch every flow whose instance has the same
+    key into one update.
+    """
+    try:
+        return (type(algo), tuple(sorted(vars(algo).items())))
+    except TypeError:
+        return id(algo)

@@ -48,6 +48,7 @@ stream counts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -56,11 +57,12 @@ import numpy as np
 from ..errors import ConfigurationError, SimulationError
 from ..netsim.flow import FlowSpec
 from ..netsim.link import Link
-from ..netsim.topology import Path, PathProfile, Topology
+from ..netsim.topology import PathProfile, Topology
 from ..units import DataRate, DataSize, TimeDelta, bits, seconds
 from ..vectorize import (SIM_BACKENDS, SIM_ENGINES, exact_backend,
                          pow_elementwise, resolve_backend, resolve_engine)
-from .congestion import CongestionControl, Reno, algorithm_by_name
+from .congestion import (CongestionControl, Reno, algorithm_by_name,
+                         algorithm_key)
 
 __all__ = ["FlowProgress", "MultiFlowSimulation", "max_min_fair_allocation",
            "SIM_BACKENDS", "SIM_ENGINES"]
@@ -78,14 +80,23 @@ class _ProgressiveFiller:
     Both backends walk the same round structure; they differ only in how
     each round's per-flow limits and per-link capacity deltas are
     evaluated.  Bit-identity notes: per-flow limits are plain minima
-    (order-independent and exact); per-link deltas are accumulated in
-    flow order via ``np.bincount`` over the row-major flat incidence,
-    matching the scalar loop's association, and the zero weights
-    contributed by unaffected flows are exact no-ops because every
-    partial sum is non-negative.
+    (order-independent and exact), so the numpy kernel evaluates them
+    once per incidence row a caller marks as shared and gathers them by
+    row; per-link deltas are accumulated in flow order via
+    ``np.bincount`` over the row-major flat incidence, matching the
+    scalar loop's association, and the zero weights contributed by
+    unaffected flows are exact no-ops because every partial sum is
+    non-negative.
+
+    ``row_of`` marks flows whose incidence rows are identical: flows
+    with equal ``row_of`` must cross the same links.  Simulations know
+    this from their paths — on a 12-site backbone, a traffic matrix's
+    thousand-odd fluid classes share about 130 link sets — while a
+    one-shot allocation leaves it out and every flow is its own row.
     """
 
-    def __init__(self, usage: np.ndarray, capacities: np.ndarray) -> None:
+    def __init__(self, usage: np.ndarray, capacities: np.ndarray,
+                 row_of: Optional[np.ndarray] = None) -> None:
         usage = np.asarray(usage, dtype=bool)
         capacities = np.asarray(capacities, dtype=np.float64)
         self.n_flows, self.n_links = usage.shape
@@ -94,10 +105,22 @@ class _ProgressiveFiller:
         self.usage = usage
         self.capacities = capacities
         self._flat_rows, self._flat_cols = np.nonzero(usage)
-        counts = np.bincount(self._flat_rows, minlength=self.n_flows)
+        # Shared incidence rows: their flat incidence, the segment
+        # boundaries for ``np.minimum.reduceat``, and each flow's row.
+        if row_of is None:
+            self._row_of = None
+            self.n_rows = self.n_flows
+            row_rows, self._row_cols = self._flat_rows, self._flat_cols
+        else:
+            _, first, inverse = np.unique(row_of, return_index=True,
+                                          return_inverse=True)
+            self._row_of = inverse.reshape(-1)
+            self.n_rows = first.size
+            row_rows, self._row_cols = np.nonzero(usage[first])
+        counts = np.bincount(row_rows, minlength=self.n_rows)
         has_links = counts > 0
         seg_ptr = np.cumsum(counts) - counts
-        self._flows_with_links = np.nonzero(has_links)[0]
+        self._rows_with_links = np.nonzero(has_links)[0]
         self._seg_starts = seg_ptr[has_links]
         self._links_per_flow_active0 = usage.sum(axis=0).astype(np.float64)
         self._finite_caps = bool(np.isfinite(capacities).all())
@@ -124,7 +147,7 @@ class _ProgressiveFiller:
         if n_frozen:
             apl -= np.bincount(flat_cols, weights=frozen[flat_rows],
                                minlength=n_links)
-        limit = np.empty(n_flows)
+        row_limit = np.empty(self.n_rows)
         for _ in range(n_flows + n_links + 1):
             if n_frozen >= n_flows:
                 break
@@ -135,11 +158,13 @@ class _ProgressiveFiller:
                                  remaining_cap / np.maximum(apl, 1.0),
                                  np.inf)
             # Each flow is limited by the tightest link it crosses:
-            # a segmented min over the flat incidence list.
-            limit.fill(np.inf)
+            # a segmented min over each distinct row's incidence.
+            row_limit.fill(np.inf)
             if self._seg_starts.size:
-                limit[self._flows_with_links] = np.minimum.reduceat(
-                    share[flat_cols], self._seg_starts)
+                row_limit[self._rows_with_links] = np.minimum.reduceat(
+                    share[self._row_cols], self._seg_starts)
+            limit = (row_limit if self._row_of is None
+                     else row_limit[self._row_of])
             # Flows whose demand is below their limit are satisfied; freeze
             # them and recompute shares with the released capacity.
             headroom = demands - alloc
@@ -279,7 +304,7 @@ def max_min_fair_allocation(
     return _ProgressiveFiller(usage, capacities).allocate(demands, backend)
 
 
-@dataclass
+@dataclass(slots=True)
 class FlowProgress:
     """Per-flow outcome of a multi-flow simulation."""
 
@@ -391,52 +416,70 @@ class MultiFlowSimulation:
 
         self._labels = labels
         self._specs = list(specs)
-        self._paths: List[Path] = []
-        self._profiles: List[PathProfile] = []
-        self._algos: List[CongestionControl] = []
-        # Path lookups are cached per (src, dst, policy): a traffic
+        # Paths are resolved once per (src, dst, policy): a traffic
         # matrix carries O(sites^2) distinct pairs but may name 100k+
         # flows, and per-flow shortest-path work would dominate setup.
-        # The link inventory is registered in first-encounter order, the
-        # same order the uncached per-flow walk produced.
-        path_cache: Dict[object, Tuple[Path, PathProfile, Tuple[int, ...]]] = {}
+        # Each flow keeps only its index into the distinct paths; the
+        # link inventory is registered in first-encounter order, the
+        # order a per-flow walk would produce.
+        path_index: Dict[object, int] = {}
         link_ids: Dict[int, int] = {}
         self._links: List[Link] = []
-        self._flow_links: List[Tuple[int, ...]] = []
+        self._path_profiles: List[PathProfile] = []
+        self._path_links: List[Tuple[int, ...]] = []
+        path_of: List[int] = []
+        # Congestion controls are stateless by contract, so flows that
+        # name no algorithm share one default instance and a name
+        # resolves to one instance; flows keep an index into the
+        # distinct instances.
+        default_algo = Reno()
+        by_name: Dict[str, CongestionControl] = {}
+        algo_index: Dict[int, int] = {}
+        self._algorithms: List[CongestionControl] = []
+
+        def algorithm_index(algo) -> int:
+            if isinstance(algo, str):
+                if algo not in by_name:
+                    by_name[algo] = algorithm_by_name(algo)
+                algo = by_name[algo]
+            a = algo_index.get(id(algo))
+            if a is None:
+                a = algo_index[id(algo)] = len(self._algorithms)
+                self._algorithms.append(algo)
+            return a
+
+        if isinstance(algorithm, dict):
+            self._algorithm_of = np.array(
+                [algorithm_index(algorithm.get(label, default_algo))
+                 for label in labels], dtype=np.int64)
+        else:
+            algorithm_index(default_algo if algorithm is None else algorithm)
+            self._algorithm_of = np.zeros(len(labels), dtype=np.int64)
+        need_rng = rng is None and self.backend != "fluid"
         for label, spec in zip(labels, self._specs):
             try:
                 key = (spec.src, spec.dst, tuple(sorted(spec.policy.items())))
                 hash(key)
             except TypeError:
                 key = (spec.src, spec.dst, repr(sorted(spec.policy.items())))
-            cached = path_cache.get(key)
-            if cached is None:
+            p = path_index.get(key)
+            if p is None:
                 path = topology.path(spec.src, spec.dst, **spec.policy)
                 profile = topology.profile(path)
                 for link in path.links:
                     if id(link) not in link_ids:
                         link_ids[id(link)] = len(self._links)
                         self._links.append(link)
-                links = tuple(link_ids[id(link)] for link in path.links)
-                cached = path_cache[key] = (path, profile, links)
-            path, profile, links = cached
-            self._paths.append(path)
-            self._profiles.append(profile)
-            self._flow_links.append(links)
-            if isinstance(algorithm, dict):
-                algo = algorithm.get(label, Reno())
-            elif algorithm is None:
-                algo = Reno()
-            else:
-                algo = algorithm
-            if isinstance(algo, str):
-                algo = algorithm_by_name(algo)
-            self._algos.append(algo)
-            if profile.random_loss > 0 and rng is None \
-                    and self.backend != "fluid":
+                p = path_index[key] = len(self._path_profiles)
+                self._path_profiles.append(profile)
+                self._path_links.append(
+                    tuple(link_ids[id(link)] for link in path.links))
+            path_of.append(p)
+            if need_rng and self._path_profiles[p].random_loss > 0:
                 raise ConfigurationError(
                     f"flow {label!r} crosses a lossy path; rng is required"
                 )
+        self._path_of = np.array(path_of, dtype=np.int64)
 
         n_flows, n_links = len(specs), len(self._links)
         self._capacities = np.array([l.rate.bps for l in self._links])
@@ -455,10 +498,12 @@ class MultiFlowSimulation:
             self._filler = None
             self._streams = []
             return
-        self._usage = np.zeros((n_flows, n_links), dtype=bool)
-        for f, links in enumerate(self._flow_links):
-            self._usage[f, list(links)] = True
-        self._filler = _ProgressiveFiller(self._usage, self._capacities)
+        path_usage = np.zeros((len(self._path_links), n_links), dtype=bool)
+        for p, links in enumerate(self._path_links):
+            path_usage[p, list(links)] = True
+        self._usage = path_usage[self._path_of]
+        self._filler = _ProgressiveFiller(self._usage, self._capacities,
+                                          row_of=self._path_of)
 
         # One stream state per parallel stream of each flow.
         self._streams = []
@@ -482,25 +527,31 @@ class MultiFlowSimulation:
             raise ConfigurationError(
                 "all flows are unbounded; an explicit until= horizon is required"
             )
-        rtts = np.array([max(p.base_rtt.s, 1e-6) for p in self._profiles])
-        dt = float(min(rtts.min() / 2.0, 0.05))
-        horizon = until.s if until is not None else float("inf")
-        mss_bits = np.array([p.flow.mss.bits for p in self._profiles])
-        rwnd_pkts = np.array([
+        # Transport parameters are properties of the path: evaluate them
+        # once per distinct profile, then gather per flow.
+        profiles = self._path_profiles
+        path_rtts = np.array([max(p.base_rtt.s, 1e-6) for p in profiles])
+        path_mss = np.array([p.flow.mss.bits for p in profiles])
+        path_rwnd = np.array([
             max(1.0, p.flow.effective_receive_window().bits / m)
-            for p, m in zip(self._profiles, mss_bits)
+            for p, m in zip(profiles, path_mss)
         ])
-        loss_p = np.array([p.random_loss for p in self._profiles])
+        path_loss = np.array([p.random_loss for p in profiles])
+        dt = float(min(path_rtts.min() / 2.0, 0.05))
+        horizon = until.s if until is not None else float("inf")
         rate_caps = np.array([
             (s.rate_limit.bps if s.rate_limit else np.inf) for s in self._specs
         ])
         if self.backend == "fluid":
             now = self._run_fluid(
-                until, max_ticks, sample_interval, rtts=rtts, dt=dt,
-                horizon=horizon, mss_bits=mss_bits, rwnd_pkts=rwnd_pkts,
-                loss_p=loss_p, rate_caps=rate_caps)
+                until, max_ticks, sample_interval, rtts=path_rtts, dt=dt,
+                horizon=horizon, mss_bits=path_mss, rwnd_pkts=path_rwnd,
+                loss_p=path_loss, rate_caps=rate_caps)
             self.finished_at = seconds(now)
             return self.progress
+        path_of = self._path_of
+        rtts, mss_bits = path_rtts[path_of], path_mss[path_of]
+        rwnd_pkts, loss_p = path_rwnd[path_of], path_loss[path_of]
         if self.backend == "numpy":
             now = self._run_numpy(
                 until, max_ticks, sample_interval, rtts=rtts, dt=dt,
@@ -543,13 +594,16 @@ class MultiFlowSimulation:
         delivered totals and finish times land in ``progress`` like the
         exact backends', but per-flow loss counts and time series are
         not produced — class-level aggregates live on ``fluid_result``.
+        ``rtts``, ``mss_bits``, ``rwnd_pkts`` and ``loss_p`` are per
+        distinct path; ``rate_caps`` is per flow.
         """
         from ..fluid import (DEFAULT_PHASE_SHARDS, FluidEngine,
                              build_flow_classes)
         classes = build_flow_classes(
-            self._specs, self._flow_links, self._algos, rtts=rtts,
-            mss_bits=mss_bits, rwnd_pkts=rwnd_pkts, loss_p=loss_p,
-            rate_caps=rate_caps, n_shards=DEFAULT_PHASE_SHARDS)
+            self._specs, self._path_of, self._path_links, self._algorithms,
+            self._algorithm_of, rtts=rtts, mss_bits=mss_bits,
+            rwnd_pkts=rwnd_pkts, loss_p=loss_p, rate_caps=rate_caps,
+            n_shards=DEFAULT_PHASE_SHARDS)
         engine = FluidEngine(classes, self._capacities, self._buffers,
                              initial_cwnd=self._initial_cwnd, dt_s=dt,
                              deterministic_loss=self._rng is None)
@@ -559,14 +613,22 @@ class MultiFlowSimulation:
                             sample_interval_s=sample_interval.s)
         self.fluid_result = result
         self._queues = result.queues_bits
-        delivered, finish = result.delivered_bits, result.finish_s
-        for f, label in enumerate(self._labels):
-            prog = self.progress[label]
-            if result.started[f]:
-                prog.started = True
-            prog.delivered = bits(float(delivered[f]))
-            if np.isfinite(finish[f]):
-                prog.finish_time = seconds(float(finish[f]))
+        # Written back from Python lists a chunk at a time: reading numpy
+        # scalars per flow costs more than the write itself, and whole
+        # 100k-element lists would raise peak memory for nothing.
+        progresses = list(self.progress.values())
+        chunk = 8192
+        for lo in range(0, len(progresses), chunk):
+            hi = lo + chunk
+            for prog, started, delivered, finish in zip(
+                    progresses[lo:hi], result.started[lo:hi].tolist(),
+                    result.delivered_bits[lo:hi].tolist(),
+                    result.finish_s[lo:hi].tolist()):
+                if started:
+                    prog.started = True
+                prog.delivered = bits(delivered)
+                if math.isfinite(finish):
+                    prog.finish_time = seconds(finish)
         return result.now_s
 
     # -- scalar reference loop -------------------------------------------------
@@ -662,7 +724,7 @@ class MultiFlowSimulation:
                     st.time_since_loss += dt
                     if st.rtt_clock >= rtts[f]:
                         st.rtt_clock = 0.0
-                        algo = self._algos[f]
+                        algo = self._algorithms[self._algorithm_of[f]]
                         if st.loss_flag:
                             st.loss_flag = False
                             prog.loss_events += 1
@@ -731,7 +793,6 @@ class MultiFlowSimulation:
         # Struct-of-arrays stream state, flow-major like self._streams.
         k = np.array([s.parallel_streams for s in self._specs], dtype=np.int64)
         flow_of = np.repeat(np.arange(n_flows, dtype=np.int64), k)
-        n_streams = int(k.sum())
         flat = [st for streams in self._streams for st in streams]
         cwnd = np.array([st.cwnd for st in flat], dtype=np.float64)
         ssthresh = np.array([st.ssthresh for st in flat], dtype=np.float64)
@@ -764,21 +825,19 @@ class MultiFlowSimulation:
         loss_events_f = np.zeros(n_flows, dtype=np.int64)
 
         # Streams grouped by congestion-control *behaviour* for batch
-        # updates.  Algorithms are stateless by contract, so instances of
-        # the same class with equal attributes are interchangeable — the
-        # common ``algorithm=None`` path builds one Reno() per flow, which
-        # must collapse into a single group rather than one per flow.
-        groups: List[Tuple[CongestionControl, np.ndarray]] = []
+        # updates: instances with equal :func:`algorithm_key` share a
+        # group.  Instances are numbered by first use, so each group's
+        # first instance is the one its first flow carries.
+        leaders: List[CongestionControl] = []
         seen: Dict[object, int] = {}
-        for f, algo in enumerate(self._algos):
-            try:
-                key = (type(algo), tuple(sorted(vars(algo).items())))
-            except TypeError:
-                key = id(algo)
-            if key not in seen:
-                seen[key] = len(groups)
-                groups.append((algo, np.zeros(n_streams, dtype=bool)))
-            groups[seen[key]][1][flow_of == f] = True
+        group_of = np.empty(len(self._algorithms), dtype=np.int64)
+        for a, algo in enumerate(self._algorithms):
+            group_of[a] = seen.setdefault(algorithm_key(algo), len(leaders))
+            if group_of[a] == len(leaders):
+                leaders.append(algo)
+        stream_group = group_of[self._algorithm_of][flow_of]
+        groups: List[Tuple[CongestionControl, np.ndarray]] = [
+            (algo, stream_group == g) for g, algo in enumerate(leaders)]
 
         now = 0.0
         next_sample = 0.0
@@ -983,9 +1042,10 @@ class MultiFlowSimulation:
     # -- conveniences ---------------------------------------------------------------
     def profile_of(self, label: str) -> PathProfile:
         try:
-            return self._profiles[self._labels.index(label)]
+            f = self._labels.index(label)
         except ValueError:
             raise ConfigurationError(f"no flow labelled {label!r}") from None
+        return self._path_profiles[self._path_of[f]]
 
     def aggregate_delivered(self) -> DataSize:
         return bits(sum(p.delivered.bits for p in self.progress.values()))

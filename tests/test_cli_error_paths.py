@@ -245,3 +245,33 @@ class TestExitCodeConvention:
         rc, _, err = cli("jobs", "--url", "ftp://example.org")
         assert rc == EXIT_BAD_INPUT
         assert "http" in err
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
+    @pytest.mark.parametrize("argv", [
+        ("run", SPECS / "fig1_tcp_loss_quick.json", "--no-persist"),
+        ("sweep", "mathis", "--rtt", "10", "--loss", "4.5e-5"),
+        ("chaos", SPECS / "chaos_quick.json", "--no-persist"),
+        # Rejected before the service binds a port.
+        ("serve", "--port", "0"),
+    ], ids=["run", "sweep", "chaos", "serve"])
+    def test_bad_repro_workers_is_two(self, cli, monkeypatch, argv, value):
+        monkeypatch.setenv("REPRO_WORKERS", value)
+        rc, _, err = cli(*argv)
+        assert rc == EXIT_BAD_INPUT
+        assert "REPRO_WORKERS" in err and "Traceback" not in err
+
+    def test_workers_flag_overrides_bad_repro_workers(self, cli,
+                                                      monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "abc")
+        rc, out, _ = cli("sweep", "mathis", "--rtt", "10", "--loss",
+                         "4.5e-5", "--workers", "1")
+        assert rc == EXIT_OK and "workers=1" in out
+
+    def test_repro_workers_default(self, monkeypatch):
+        from repro.experiment.context import workers_from_env
+
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        assert workers_from_env() == 1
+        assert workers_from_env(2) == 2
+        monkeypatch.setenv("REPRO_WORKERS", "3")
+        assert workers_from_env(2) == 3

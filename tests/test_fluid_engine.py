@@ -119,7 +119,7 @@ def _delivered_at_dt(dt_s: float, horizon_s: float) -> float:
                       label="probe")]
     from repro.tcp import Reno
     classes = build_flow_classes(
-        specs, [(0,)], [Reno()],
+        specs, np.array([0]), [(0,)], [Reno()], np.array([0]),
         rtts=np.array([0.02]), mss_bits=np.array([8960.0 * 8]),
         rwnd_pkts=np.array([512.0]), loss_p=np.array([0.0]),
         rate_caps=np.array([np.inf]))

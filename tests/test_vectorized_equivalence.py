@@ -24,6 +24,7 @@ from repro.tcp.congestion import Cubic, HTcp, Reno
 from repro.tcp.simulate import (
     MultiFlowSimulation,
     SIM_BACKENDS,
+    _ProgressiveFiller,
     max_min_fair_allocation,
 )
 from repro.units import Gbps, KB, MB, Mbps, bytes_, ms, seconds
@@ -59,6 +60,42 @@ def allocation_problems(draw):
 def test_max_min_backends_bit_identical(problem):
     demands, usage, capacities = problem
     a = max_min_fair_allocation(demands, usage, capacities, backend="numpy")
+    b = max_min_fair_allocation(demands, usage, capacities, backend="python")
+    assert a.tobytes() == b.tobytes()
+
+
+@st.composite
+def repeated_row_allocation_problems(draw):
+    """Rows drawn from a small pool of link sets, so most rows repeat —
+    the shape of fluid classes, which share a few paths among many
+    shards and populations.  ``row_of`` names each row's pool entry, as
+    the simulations pass their path index."""
+    n_links = draw(st.integers(1, 8))
+    n_sets = draw(st.integers(1, 4))
+    n_flows = draw(st.integers(1, 40))
+    seed = draw(st.integers(0, 2**31 - 1))
+    rng = np.random.default_rng(seed)
+    pool = rng.random((n_sets, n_links)) < draw(
+        st.floats(0.1, 0.9, allow_nan=False))
+    row_of = rng.integers(0, n_sets, size=n_flows)
+    usage = pool[row_of]
+    demands = rng.random(n_flows) * draw(st.floats(0.5, 200.0))
+    if draw(st.booleans()):
+        demands[rng.integers(0, n_flows, size=3)] = 0.0
+    if draw(st.booleans()):
+        demands[rng.integers(0, n_flows)] = np.inf
+    capacities = rng.random(n_links) * draw(st.floats(0.5, 100.0)) + 1e-3
+    if draw(st.booleans()):
+        capacities[rng.integers(0, n_links)] = np.inf
+    return demands, usage, capacities, row_of
+
+
+@SETTINGS
+@given(repeated_row_allocation_problems())
+def test_max_min_backends_bit_identical_on_repeated_rows(problem):
+    demands, usage, capacities, row_of = problem
+    a = _ProgressiveFiller(usage, capacities, row_of=row_of).allocate(
+        demands, backend="numpy")
     b = max_min_fair_allocation(demands, usage, capacities, backend="python")
     assert a.tobytes() == b.tobytes()
 
