@@ -36,10 +36,10 @@ from __future__ import annotations
 
 import os
 import pathlib
-from typing import Dict, Optional, TypeVar
+from typing import Dict, TypeVar
 
 from repro.analysis.report import ExperimentRecord
-from repro.experiment.context import workers_from_env
+from repro.experiment import RunContext
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -60,30 +60,15 @@ def quick(full: T, tiny: T) -> T:
     return tiny if quick_mode() else full
 
 
-def sweep_workers() -> Optional[int]:
-    """Pool size from ``$REPRO_WORKERS``; None means serial."""
-    workers = workers_from_env(None)
-    return workers if workers is not None and workers > 1 else None
-
-
-def sweep_cache():
-    """A :class:`repro.exec.ResultCache` from ``$REPRO_CACHE``, or None."""
-    value = os.environ.get("REPRO_CACHE", "")
-    if not value or value == "0":
-        return None
-    from repro.exec import DEFAULT_CACHE_DIR, ResultCache
-    return ResultCache(DEFAULT_CACHE_DIR if value == "1" else value)
-
-
 def sweep_kwargs() -> Dict[str, object]:
-    """Keyword arguments for ``sweep()`` honoring the env knobs."""
+    """Keyword arguments for ``sweep()`` honoring the env knobs, read
+    through :meth:`repro.experiment.RunContext.from_env`."""
+    ctx = RunContext.from_env()
     kwargs: Dict[str, object] = {}
-    workers = sweep_workers()
-    if workers is not None:
-        kwargs["workers"] = workers
-    cache = sweep_cache()
-    if cache is not None:
-        kwargs["cache"] = cache
+    if ctx.workers > 1:
+        kwargs["workers"] = ctx.workers
+    if ctx.cache is not None:
+        kwargs["cache"] = ctx.cache
     return kwargs
 
 

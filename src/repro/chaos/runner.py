@@ -1,7 +1,7 @@
 """Campaign execution: sample, fan out, check oracles, shrink, report.
 
 :func:`run_campaign` is the ``"campaign"`` spec runner registered with
-:func:`repro.experiment.runner.register_spec_runner` — running a
+:func:`repro.experiment.spec.register_spec_kind` — running a
 :class:`~repro.chaos.spec.CampaignSpec` through
 :func:`~repro.experiment.run_experiment` (or ``repro chaos`` / ``repro
 run``) lands here.  Each sampled schedule executes through the same
@@ -25,8 +25,8 @@ import numpy as np
 
 from ..errors import ConfigurationError, ReproError
 from ..exec.seeding import canonical_json, derive_seed
-from ..experiment.runner import _outcome_payload, register_spec_runner
-from ..experiment.spec import ExperimentSpec, ScenarioSpec
+from ..experiment.runner import RunOutput, _outcome_payload
+from ..experiment.spec import ExperimentSpec, ScenarioSpec, register_spec_kind
 from .oracles import (
     ProfileTimeline,
     RunObservation,
@@ -193,9 +193,10 @@ def _schedule_fault_payload(spec: ScenarioSpec) -> List[Dict[str, object]]:
 def run_campaign(spec: CampaignSpec, ctx, version: str):
     """Execute a campaign; the ``"campaign"`` spec-runner entry point.
 
-    Returns ``(payload, summary, value, extra_artifacts)`` per the
-    extension-runner contract.  The payload (= report core, =
-    ``report.json`` minus nothing) deliberately contains no code
+    Returns a :class:`~repro.experiment.runner.RunOutput` whose
+    artifacts are the report and the shrunk repro specs.  The payload
+    (= report core, = ``report.json`` minus nothing) deliberately
+    contains no code
     version, timings, worker counts or cache stats, so its digest is
     identical across serial/pooled and cold/warm runs — that digest is
     what the CI smoke job and the golden gate compare.
@@ -241,7 +242,7 @@ def run_campaign(spec: CampaignSpec, ctx, version: str):
             sum(len(msgs) for r in records
                 for msgs in r.violations.values()))
 
-    extra_artifacts: Dict[str, bytes] = {}
+    extra_artifacts: Dict[str, object] = {}
     if spec.shrink and failing:
         def evaluate(candidates: Sequence[ScenarioSpec]
                      ) -> List[Dict[str, List[str]]]:
@@ -260,9 +261,7 @@ def run_campaign(spec: CampaignSpec, ctx, version: str):
                                   f"{sorted(record.violations)}"))
             records[record.index] = replace(record, minimal=minimal)
             artifact = f"repro-{record.spec.name}.json"
-            extra_artifacts[artifact] = (
-                json.dumps(minimal.to_dict(), indent=2, sort_keys=True)
-                + "\n").encode("utf-8")
+            extra_artifacts[artifact] = minimal.to_dict()
             if tracer.enabled:
                 tracer.event(
                     "chaos", "shrunk", schedule=record.spec.name,
@@ -271,8 +270,7 @@ def run_campaign(spec: CampaignSpec, ctx, version: str):
                     artifact=artifact)
 
     report = build_report(spec, records, oracle_items)
-    extra_artifacts["report.json"] = (
-        json.dumps(report, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    extra_artifacts["report.json"] = report
 
     summary = {
         "schedules": len(records),
@@ -285,7 +283,13 @@ def run_campaign(spec: CampaignSpec, ctx, version: str):
     if tracer.enabled:
         tracer.event("chaos", "campaign-end", **summary)
     value = CampaignResult(spec=spec, report=report, records=records)
-    return report, summary, value, extra_artifacts
+    return RunOutput(report, summary, value, artifacts=extra_artifacts)
 
 
-register_spec_runner("campaign", run_campaign)
+def _render_campaign(result) -> str:
+    from .report import render_report
+
+    return render_report(result.payload)
+
+
+register_spec_kind(CampaignSpec, run_campaign, _render_campaign)

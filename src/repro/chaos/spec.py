@@ -22,12 +22,7 @@ from dataclasses import dataclass, field
 from typing import ClassVar, Dict, Mapping, Optional, Tuple
 
 from ..errors import ConfigurationError
-from ..experiment.spec import (
-    AlertRuleSpec,
-    ExperimentSpec,
-    MeshSpec,
-    register_spec_kind,
-)
+from ..experiment.spec import AlertRuleSpec, ExperimentSpec, MeshSpec
 
 __all__ = [
     "CampaignSpec",
@@ -188,7 +183,6 @@ class TransferProbeSpec:
         )
 
 
-@register_spec_kind
 @dataclass(frozen=True)
 class CampaignSpec(ExperimentSpec):
     """A deterministic, seedable fault campaign over a base design."""

@@ -11,13 +11,14 @@ Gives operators the library's main workflows without writing Python:
 * ``trace``    — run a traced soft-failure scenario and export the
   event log (Chrome ``trace_event`` JSON + optional JSONL);
 * ``sweep``    — parallel, cacheable parameter studies (Figure 1's
-  loss×RTT grid from the command line);
+  loss×RTT grid from the command line), a front end that builds a
+  sweep spec and runs it the way ``run`` does;
 * ``run``      — execute a serializable experiment spec
   (``specs/*.json``) through the experiment layer, writing a
   provenance manifest; ``--golden`` gates on recorded digests;
 * ``chaos``    — run a fault campaign against its invariant oracles
-  (or replay a single shrunk schedule artifact); exits 1 on any
-  oracle violation;
+  through the ``run`` path (or replay a single shrunk schedule
+  artifact); exits 1 on any oracle violation;
 * ``specs``    — list the spec files in a directory with their digests;
 * ``bench``    — time the simulator's hot paths and gate against the
   committed performance baseline (``benchmarks/baseline.json``);
@@ -47,6 +48,15 @@ code  meaning
 "Retryable" is the rule of thumb: 2 means fix the invocation, 1 means
 investigate the system under test.
 
+Environment
+-----------
+``REPRO_WORKERS`` (pool size), ``REPRO_CACHE`` (``1`` for
+``.repro-cache/``, or a cache directory) and ``REPRO_BACKEND``
+(simulation engine) supply the run settings of ``run``, ``sweep``,
+``chaos`` and ``serve`` wherever a flag does not; both are parsed once,
+by :func:`context_from_args` over :meth:`RunContext.from_env`.
+``REPRO_SERVE_URL`` is the default service URL of ``submit``/``jobs``.
+
 Examples
 --------
 ::
@@ -70,23 +80,24 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Dict, Optional
+from typing import Optional
 
 import numpy as np
 
 from .analysis import ResultTable
 from .core import apply_upgrade, plan_upgrade
-from .core.designs import DesignBundle
 from .dtn import Dataset, TransferPlan, TOOL_REGISTRY
 from .errors import ReproError, ServeError
-from .experiment.context import workers_from_env
+from .exec.cache import DEFAULT_CACHE_DIR
+from .experiment import (ExperimentSpec, RunContext, SweepSpec,
+                         run_experiment, spec_kind)
 # The design registry moved to the experiment layer (specs refer to the
 # same names); re-exported here because callers and tests iterate
 # ``cli.DESIGNS``.
-from .experiment.registry import DESIGNS, mathis_grid_point
+from .experiment.registry import DESIGNS, build_design
 from .tcp.mathis import mathis_throughput, required_window
 from .units import parse_rate, parse_size, parse_time
-from .vectorize import SIM_ENGINES
+from .vectorize import SIM_ENGINES, default_backend
 
 __all__ = ["main", "DESIGNS", "EXIT_OK", "EXIT_DOMAIN_FAILURE",
            "EXIT_BAD_INPUT"]
@@ -97,12 +108,49 @@ EXIT_DOMAIN_FAILURE = 1
 EXIT_BAD_INPUT = 2
 
 
-def _build(name: str) -> DesignBundle:
-    try:
-        return DESIGNS[name]()
-    except KeyError:
-        known = ", ".join(sorted(DESIGNS))
-        raise ReproError(f"unknown design {name!r}; known designs: {known}")
+def context_from_args(args: argparse.Namespace, *,
+                      default_workers: int = 1) -> RunContext:
+    """The run settings of one command, parsed and checked up front.
+
+    The command's ``--workers``, ``--cache``/``--cache-dir``,
+    ``--artifacts`` and ``--backend`` flags, where it has them, override
+    the environment knobs :meth:`RunContext.from_env` reads; an absent
+    flag falls through to them.  Bad values exit 2 before anything runs.
+    """
+    cache = getattr(args, "cache_dir", None)
+    if cache is None and getattr(args, "cache", False):
+        cache = DEFAULT_CACHE_DIR
+    return RunContext.from_env(
+        default_workers=default_workers,
+        workers=getattr(args, "workers", None),
+        cache=cache,
+        artifacts=getattr(args, "artifacts", None),
+        backend=getattr(args, "backend", None))
+
+
+def _print_run(result, ctx: RunContext, stats: bool) -> None:
+    """Print a run: header, the kind's renderer, summary, digests."""
+    spec, manifest = result.spec, result.manifest
+    print(f"{spec.kind} {spec.name!r}: {spec.description or spec.name}")
+    render = spec_kind(spec.kind).render
+    if render is not None:
+        print(render(result))
+    for key in sorted(manifest.summary):
+        print(f"  {key}: {manifest.summary[key]}")
+    if result.cached:
+        print("  (served from the result cache)")
+    print(f"  engine:          {manifest.backend}")
+    print(f"  spec digest:     {manifest.spec_digest}")
+    print(f"  result digest:   {manifest.result_digest}")
+    print(f"  manifest digest: {manifest.digest()}")
+    if result.manifest_path:
+        print(f"  artifacts:       {result.artifact_dir}/")
+    if stats:
+        print()
+        print("execution stats:")
+        counters = ctx.stats()
+        for key in sorted(counters):
+            print(f"  {key}: {counters[key]}")
 
 
 def cmd_designs(args: argparse.Namespace) -> int:
@@ -123,14 +171,14 @@ def cmd_designs(args: argparse.Namespace) -> int:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
-    bundle = _build(args.design)
+    bundle = build_design(args.design)
     report = bundle.audit()
     print(report.render_text())
     return 0 if report.passed else 1
 
 
 def cmd_transfer(args: argparse.Namespace) -> int:
-    bundle = _build(args.design)
+    bundle = build_design(args.design)
     size = parse_size(args.size)
     dataset = Dataset("cli-transfer", size, file_count=args.files)
     dst = args.dst or bundle.dtns[0]
@@ -166,7 +214,7 @@ def cmd_mathis(args: argparse.Namespace) -> int:
 
 def cmd_lint(args: argparse.Namespace) -> int:
     from .core import lint_path
-    bundle = _build(args.design)
+    bundle = build_design(args.design)
     dst = args.dst or bundle.dtns[0]
     policy = bundle.science_policy if not args.via_firewall else {}
     findings = lint_path(bundle.topology, bundle.remote_dtn, dst,
@@ -186,7 +234,7 @@ def cmd_export(args: argparse.Namespace) -> int:
     import json
 
     from .netsim import topology_to_dict
-    bundle = _build(args.design)
+    bundle = build_design(args.design)
     data = topology_to_dict(bundle.topology)
     text = json.dumps(data, indent=2, sort_keys=True)
     if args.output:
@@ -228,7 +276,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     from .scenario import Scenario
     from .telemetry import write_chrome_trace, write_jsonl
 
-    bundle = _build(args.design)
+    bundle = build_design(args.design)
     hosts = list(bundle.perfsonar) or bundle.dtns[:1]
     hosts = [h for h in hosts if h != bundle.remote_dtn]
     hosts.append(bundle.remote_dtn)
@@ -274,15 +322,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Swept functions for ``repro sweep <target>`` (the full registry —
-#: including the Figure 1 measured grid — lives in
-#: :data:`repro.experiment.registry.SWEEP_TARGETS`; this quick-CLI
-#: command keeps only the grid its ``--rtt/--loss/--mss`` flags fit).
-SWEEP_TARGETS: Dict[str, Callable[..., object]] = {
-    "mathis": mathis_grid_point,
-}
-
-
 def _csv_floats(text: str, option: str) -> list:
     try:
         return [float(v) for v in text.split(",") if v.strip() != ""]
@@ -293,12 +332,7 @@ def _csv_floats(text: str, option: str) -> list:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     import json
-    import os
 
-    from .analysis.sweep import sweep
-    from .exec import ResultCache
-
-    fn = SWEEP_TARGETS[args.target]
     rtts = _csv_floats(args.rtt, "--rtt")
     losses = _csv_floats(args.loss, "--loss")
     if not rtts or not losses:
@@ -306,41 +340,26 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if any(l <= 0 for l in losses):
         raise ReproError("--loss values must be positive (the Mathis "
                          "model diverges at zero loss)")
-    grid = {
-        "rtt_ms": rtts,
-        "loss": losses,
-        "mss_bytes": [int(parse_size(args.mss).bytes)],
-    }
+    spec = SweepSpec.from_grid(
+        {"rtt_ms": rtts, "loss": losses,
+         "mss_bytes": [int(parse_size(args.mss).bytes)]},
+        name=f"{args.target}-sweep", target=args.target,
+        value_label="gbps")
+    ctx = context_from_args(args)
+    sweep = run_experiment(spec, ctx, persist=False).value
+    print(sweep.table(
+        f"{args.target} sweep — {len(sweep.records)} points, "
+        f"workers={ctx.workers}, cache={'on' if ctx.cache else 'off'}"
+    ).render_text())
 
-    workers = (args.workers if args.workers is not None
-               else workers_from_env())
-    cache = None
-    if args.cache or args.cache_dir is not None:
-        cache = ResultCache(args.cache_dir or
-                            os.environ.get("REPRO_CACHE_DIR",
-                                           ".repro-cache"))
-
-    result = sweep(fn, grid, value_label="gbps", workers=workers,
-                   cache=cache)
-    table = result.table(
-        f"{args.target} sweep — {len(result.records)} points, "
-        f"workers={workers}, cache={'on' if cache else 'off'}")
-    print(table.render_text())
-
-    stats = result.stats or {}
     if args.stats:
         print()
         print("execution stats:")
-        registry = (cache.metrics if cache is not None else None)
-        if registry is not None:
-            print(registry.render_text())
-        else:
-            for key in sorted(stats):
-                print(f"  {key}: {stats[key]}")
+        print(ctx.metrics.render_text())
     if args.stats_json:
         with open(args.stats_json, "w", encoding="utf-8") as handle:
             json.dump({"target": args.target, "grid_points":
-                       len(result.records), **stats},
+                       len(sweep.records), **sweep.stats},
                       handle, indent=2, sort_keys=True)
             handle.write("\n")
         print(f"wrote execution stats to {args.stats_json}")
@@ -349,73 +368,34 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     import json
-    import os
-
-    from .experiment import ExperimentSpec, RunContext, run_experiment
 
     spec = ExperimentSpec.from_file(args.spec)
-
-    workers = (args.workers if args.workers is not None
-               else workers_from_env())
-    cache = None
-    if args.cache or args.cache_dir is not None:
-        cache = (args.cache_dir
-                 or os.environ.get("REPRO_CACHE_DIR", ".repro-cache"))
-    ctx = RunContext.from_env(workers=workers, cache=cache,
-                              artifacts=args.artifacts,
-                              **({"backend": args.backend}
-                                 if args.backend else {}))
-
+    ctx = context_from_args(args)
     result = run_experiment(spec, ctx, persist=not args.no_persist)
-    manifest = result.manifest
-
-    what = spec.description or spec.name
-    print(f"{spec.kind} {spec.name!r}: {what}")
-    from .analysis.sweep import SweepResult
-    if isinstance(result.value, SweepResult):
-        print(result.value.table(spec.name).render_text())
-    for key in sorted(manifest.summary):
-        print(f"  {key}: {manifest.summary[key]}")
-    if result.cached:
-        print("  (served from the result cache)")
-    print(f"  engine:          {manifest.backend}")
-    print(f"  spec digest:     {manifest.spec_digest}")
-    print(f"  result digest:   {manifest.result_digest}")
-    print(f"  manifest digest: {manifest.digest()}")
-    if result.manifest_path:
-        print(f"  artifacts:       {result.artifact_dir}/")
-
-    if args.stats:
-        print()
-        print("execution stats:")
-        stats = ctx.stats()
-        for key in sorted(stats):
-            print(f"  {key}: {stats[key]}")
-
-    if args.golden:
-        try:
-            with open(args.golden, "r", encoding="utf-8") as handle:
-                golden = json.load(handle)
-        except (OSError, ValueError) as exc:
-            raise ReproError(f"cannot read golden file "
-                             f"{args.golden!r}: {exc}")
-        entry = golden.get(spec.name)
-        if entry is None:
-            raise ReproError(
-                f"golden file {args.golden!r} has no entry for "
-                f"spec {spec.name!r}")
-        drift = []
-        for field in ("spec_digest", "result_digest"):
-            want = entry.get(field)
-            got = getattr(manifest, field)
-            if want != got:
-                drift.append(f"  {field}: golden {want} != run {got}")
-        if drift:
-            print(f"GOLDEN DRIFT for {spec.name!r}:", file=sys.stderr)
-            for line in drift:
-                print(line, file=sys.stderr)
-            return 1
-        print(f"golden: spec and result digests match {args.golden}")
+    _print_run(result, ctx, args.stats)
+    if not args.golden:
+        return 0
+    try:
+        with open(args.golden, "r", encoding="utf-8") as handle:
+            golden = json.load(handle)
+    except (OSError, ValueError) as exc:
+        raise ReproError(f"cannot read golden file "
+                         f"{args.golden!r}: {exc}")
+    entry = golden.get(spec.name)
+    if entry is None:
+        raise ReproError(
+            f"golden file {args.golden!r} has no entry for "
+            f"spec {spec.name!r}")
+    drift = [f"  {field}: golden {entry.get(field)} != run "
+             f"{getattr(result.manifest, field)}"
+             for field in ("spec_digest", "result_digest")
+             if entry.get(field) != getattr(result.manifest, field)]
+    if drift:
+        print(f"GOLDEN DRIFT for {spec.name!r}:", file=sys.stderr)
+        for line in drift:
+            print(line, file=sys.stderr)
+        return 1
+    print(f"golden: spec and result digests match {args.golden}")
     return 0
 
 
@@ -443,21 +423,17 @@ def _parse_oracle_arg(arg: str):
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
+    import dataclasses
     import json
-    import os
 
-    from .chaos import get_oracle
+    from .chaos import default_oracles, get_oracle
     from .chaos.runner import _campaign_point
-    from .chaos.report import render_report
-    from .chaos.spec import CampaignSpec
+    from .chaos.spec import CampaignSpec, OracleSpec
     from .exec.seeding import canonical_json
-    from .experiment import ExperimentSpec, RunContext, run_experiment
     from .experiment.spec import ScenarioSpec
 
     spec = ExperimentSpec.from_file(args.spec)
     if args.seed is not None:
-        import dataclasses
-
         spec = dataclasses.replace(spec, seed=args.seed)
     oracle_items = [_parse_oracle_arg(a) for a in args.oracle or []]
     for name, _ in oracle_items:
@@ -466,10 +442,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     if isinstance(spec, ScenarioSpec):
         # Replay mode: judge one concrete schedule (e.g. a shrunk
         # repro-*.json artifact) against the oracles, in-process.
-        if not oracle_items:
-            from .chaos import default_oracles
-
-            oracle_items = [(n, {}) for n in default_oracles()]
+        oracle_items = oracle_items or [(n, {}) for n in default_oracles()]
         result = _campaign_point(
             spec.to_json(),
             canonical_json([[n, p] for n, p in oracle_items]),
@@ -492,39 +465,17 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             f"`repro chaos` needs a campaign or scenario spec, got "
             f"kind {spec.kind!r} from {args.spec!r}")
     if oracle_items:
-        from .chaos.spec import OracleSpec
-        import dataclasses
-
         spec = dataclasses.replace(spec, oracles=tuple(
             OracleSpec(name=n, params=tuple(sorted(p.items())))
             for n, p in oracle_items))
-
-    workers = (args.workers if args.workers is not None
-               else workers_from_env())
-    cache = None
-    if args.cache or args.cache_dir is not None:
-        cache = (args.cache_dir
-                 or os.environ.get("REPRO_CACHE_DIR", ".repro-cache"))
-    ctx = RunContext(workers=workers, cache=cache,
-                     artifacts=args.artifacts)
-
+    ctx = context_from_args(args)
     result = run_experiment(spec, ctx, persist=not args.no_persist)
-    print(render_report(result.payload))
-    print(f"  spec digest:     {result.manifest.spec_digest}")
-    print(f"  result digest:   {result.manifest.result_digest}")
-    if result.manifest_path:
-        print(f"  artifacts:       {result.artifact_dir}/")
+    _print_run(result, ctx, args.stats)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as handle:
             json.dump(result.payload, handle, indent=2, sort_keys=True)
             handle.write("\n")
         print(f"wrote campaign report to {args.report}")
-    if args.stats:
-        print()
-        print("execution stats:")
-        stats = ctx.stats()
-        for key in sorted(stats):
-            print(f"  {key}: {stats[key]}")
     return 1 if result.manifest.summary.get("failed") else 0
 
 
@@ -535,7 +486,7 @@ def cmd_specs(args: argparse.Namespace) -> int:
 
     from .errors import ConfigurationError
     from .exec.seeding import canonical_json
-    from .experiment import ExperimentSpec, lazy_spec_kinds, spec_kinds
+    from .experiment import lazy_spec_kinds, spec_kinds
     from .experiment.spec import SPEC_SCHEMA_VERSION
 
     root = pathlib.Path(args.dir)
@@ -651,7 +602,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_upgrade(args: argparse.Namespace) -> int:
-    bundle = _build(args.design)
+    bundle = build_design(args.design)
     hosts = bundle.dtns
     plan = plan_upgrade(bundle.topology, science_hosts=hosts,
                         border=bundle.border, wan=bundle.wan)
@@ -680,20 +631,13 @@ def _default_serve_url() -> str:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    import os
-
     from .serve import ExperimentService, serve_forever
 
-    cache = None
-    if args.cache or args.cache_dir is not None:
-        cache = (args.cache_dir
-                 or os.environ.get("REPRO_CACHE_DIR", ".repro-cache"))
-    workers = (args.workers if args.workers is not None
-               else workers_from_env(2))
+    ctx = context_from_args(args, default_workers=2)
     service = ExperimentService(
-        workers=workers,
+        workers=ctx.workers,
         capacity=args.capacity,
-        cache=cache,
+        cache=ctx.cache,
         state_dir=args.state_dir,
         inner_workers=args.inner_workers,
     )
@@ -704,7 +648,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
 def cmd_submit(args: argparse.Namespace) -> int:
     import json
 
-    from .experiment import ExperimentSpec
     from .serve import ServiceClient
 
     # Parse locally first: a bad spec is the *user's* problem (exit 2)
@@ -773,6 +716,25 @@ def cmd_jobs(args: argparse.Namespace) -> int:
                        job.get("deduped") or "-", points])
     print(table.render_text())
     return EXIT_OK
+
+
+def _add_run_settings(parser: argparse.ArgumentParser, *,
+                      workers_help: str = "process-pool size (default: "
+                                          "$REPRO_WORKERS or 1)",
+                      artifacts: bool = False) -> None:
+    """The run-setting flags :func:`context_from_args` reads."""
+    parser.add_argument("--workers", type=int, default=None,
+                        help=workers_help)
+    parser.add_argument("--cache", action="store_true",
+                        help="use the result cache under .repro-cache/ "
+                             "(default: $REPRO_CACHE, which is 1 for "
+                             ".repro-cache/ or a cache directory)")
+    parser.add_argument("--cache-dir", default=None,
+                        help="cache directory (implies --cache)")
+    if artifacts:
+        parser.add_argument("--artifacts", default=None,
+                            help="artifact directory (default "
+                                 "runs/<spec name>/)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -873,7 +835,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser(
         "sweep",
         help="run a parameter sweep (parallel, with a result cache)")
-    p_sweep.add_argument("target", choices=sorted(SWEEP_TARGETS),
+    p_sweep.add_argument("target", choices=["mathis"],
                          help="what to sweep (mathis: Eq 1 over "
                               "loss x RTT, the Figure 1 grid)")
     p_sweep.add_argument("--rtt", default="1,2,5,10,20,40,60,80,100",
@@ -884,13 +846,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default: the paper's 1/22000)")
     p_sweep.add_argument("--mss", default="9000B",
                          help="segment size (default 9000B jumbo)")
-    p_sweep.add_argument("--workers", type=int, default=None,
-                         help="process-pool size (default: "
-                              "$REPRO_WORKERS or 1)")
-    p_sweep.add_argument("--cache", action="store_true",
-                         help="cache grid points under .repro-cache/")
-    p_sweep.add_argument("--cache-dir", default=None,
-                         help="cache directory (implies --cache)")
+    _add_run_settings(p_sweep)
     p_sweep.add_argument("--stats", action="store_true",
                          help="print execution/cache telemetry counters")
     p_sweep.add_argument("--stats-json", default=None,
@@ -902,15 +858,7 @@ def build_parser() -> argparse.ArgumentParser:
         "run",
         help="execute an experiment spec JSON and write its manifest")
     p_run.add_argument("spec", help="path to a spec file (see `repro specs`)")
-    p_run.add_argument("--workers", type=int, default=None,
-                       help="process-pool size (default: $REPRO_WORKERS "
-                            "or 1)")
-    p_run.add_argument("--cache", action="store_true",
-                       help="cache results under .repro-cache/")
-    p_run.add_argument("--cache-dir", default=None,
-                       help="cache directory (implies --cache)")
-    p_run.add_argument("--artifacts", default=None,
-                       help="artifact directory (default runs/<name>/)")
+    _add_run_settings(p_run, artifacts=True)
     p_run.add_argument("--no-persist", action="store_true",
                        help="do not write spec/result/manifest files "
                             "(digests are printed regardless)")
@@ -937,23 +885,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_chaos.add_argument("--oracle", action="append", metavar="NAME[:k=v,..]",
                          help="oracle to apply (repeatable); replaces the "
                               "spec's oracle set")
-    p_chaos.add_argument("--workers", type=int, default=None,
-                         help="schedule fan-out pool size "
-                              "(default $REPRO_WORKERS or 1)")
-    p_chaos.add_argument("--cache", action="store_true",
-                         help="cache per-schedule results "
-                              "(.repro-cache/ or $REPRO_CACHE_DIR)")
-    p_chaos.add_argument("--cache-dir", default=None,
-                         help="cache directory (implies --cache)")
-    p_chaos.add_argument("--artifacts", default=None,
-                         help="artifact root (default artifacts/)")
+    _add_run_settings(p_chaos, artifacts=True)
     p_chaos.add_argument("--no-persist", action="store_true",
                          help="skip writing artifacts (digests are "
                               "computed regardless)")
     p_chaos.add_argument("--report", default=None, metavar="PATH",
                          help="also write the campaign report JSON here")
     p_chaos.add_argument("--stats", action="store_true",
-                         help="print cache/runner counters")
+                         help="print execution/cache telemetry counters")
     p_chaos.set_defaults(func=cmd_chaos)
 
     p_specs = sub.add_parser(
@@ -993,15 +932,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--port", type=int, default=8351,
                          help="listen port (0 picks a free one; "
                               "default 8351)")
-    p_serve.add_argument("--workers", type=int, default=None,
-                         help="concurrent jobs (default: $REPRO_WORKERS "
-                              "or 2)")
     p_serve.add_argument("--capacity", type=int, default=1024,
                          help="queue bound before 429s (default 1024)")
-    p_serve.add_argument("--cache", action="store_true",
-                         help="shared result cache under .repro-cache/")
-    p_serve.add_argument("--cache-dir", default=None,
-                         help="cache directory (implies --cache)")
+    _add_run_settings(p_serve, workers_help="concurrent jobs (default: "
+                                            "$REPRO_WORKERS or 2)")
     p_serve.add_argument("--state-dir", default=None,
                          help="persist the queue here on drain and "
                               "restore it on start")
@@ -1047,28 +981,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_env_backend() -> None:
-    """Fail fast on a bad ``REPRO_BACKEND`` before any command runs.
-
-    A typo'd engine name would otherwise surface as a deep traceback
-    from the first kernel call (or worse, from inside a pool worker);
-    validating at startup turns it into the standard exit-2
-    configuration error.
-    """
-    import os
-
-    from .vectorize import check_engine
-
-    value = os.environ.get("REPRO_BACKEND", "")
-    if value:
-        check_engine(value)
-
-
 def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_env_backend()
+        # Resolve the process-default engine now, so a bad REPRO_BACKEND
+        # is the standard exit-2 error rather than a traceback from the
+        # first kernel call (or from inside a pool worker).
+        default_backend()
         return args.func(args)
     except ServeError as exc:
         # Operational failure (unreachable service, failed job, full

@@ -9,7 +9,9 @@ so the exec layer's process pool, content-addressed result cache and
 telemetry counters apply uniformly instead of only to sweeps:
 
 * :mod:`repro.experiment.spec` — :class:`ExperimentSpec` and its kinds
-  (``scenario`` / ``sweep`` / ``bench``) with lossless JSON round-trip;
+  (``scenario`` / ``sweep`` / ``bench``) with lossless JSON round-trip,
+  and the one kind registry (:func:`register_spec_kind`: class, runner,
+  renderer) that built-in and extension kinds share;
 * :mod:`repro.experiment.registry` — the name→factory maps specs refer
   to (designs, faults, sweep targets);
 * :mod:`repro.experiment.context` — :class:`RunContext`: workers,
@@ -42,7 +44,7 @@ from .registry import (
     register_sweep_target,
     sweep_target,
 )
-from .runner import RunResult, register_spec_runner, run_experiment
+from .runner import RunOutput, RunResult, run_experiment
 from .spec import (
     SPEC_SCHEMA_VERSION,
     AlertRuleSpec,
@@ -52,11 +54,13 @@ from .spec import (
     LinkCutSpec,
     MeshSpec,
     ScenarioSpec,
+    SpecKind,
     SweepSpec,
     lazy_spec_kinds,
     load_spec,
     register_spec_kind,
     registered_spec_kinds,
+    spec_kind,
     spec_kinds,
 )
 
@@ -73,10 +77,12 @@ __all__ = [
     "lazy_spec_kinds",
     "load_spec",
     "register_spec_kind",
-    "register_spec_runner",
     "registered_spec_kinds",
+    "spec_kind",
     "spec_kinds",
+    "SpecKind",
     "RunContext",
+    "RunOutput",
     "RunResult",
     "RunManifest",
     "run_experiment",

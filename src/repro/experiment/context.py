@@ -29,36 +29,48 @@ import pathlib
 from typing import Callable, Dict, Mapping, Optional
 
 from ..errors import ConfigurationError
-from ..exec.cache import ResultCache
+from ..exec.cache import DEFAULT_CACHE_DIR, ResultCache
 from ..exec.runner import ParallelRunner
 from ..exec.seeding import derive_seed
 from ..telemetry import MetricsRegistry, ensure_tracer
 from ..vectorize import check_engine, default_backend
 
-__all__ = ["RunContext", "DEFAULT_RUNS_DIR", "workers_from_env"]
+__all__ = ["RunContext", "DEFAULT_RUNS_DIR"]
 
 #: Default root for per-run artifact directories.
 DEFAULT_RUNS_DIR = "runs"
 
 
-def workers_from_env(default: Optional[int] = 1) -> Optional[int]:
-    """The pool size ``REPRO_WORKERS`` asks for, or ``default`` when it
-    is unset or empty.
-
-    Raises :class:`~repro.errors.ConfigurationError` (exit 2 from the
-    CLI) for a value that is not an integer or is below 1.
-    """
-    value = os.environ.get("REPRO_WORKERS", "")
-    if not value:
-        return default
+def _pool_size(value: object, source: str) -> int:
+    """``value`` as a pool size, or a ConfigurationError naming
+    ``source`` (exit 2 from the CLI) when it is not an integer >= 1."""
     try:
         workers = int(value)
-    except ValueError:
+    except (TypeError, ValueError):
         workers = 0
     if workers < 1:
         raise ConfigurationError(
-            f"REPRO_WORKERS must be an integer >= 1, got {value!r}")
+            f"{source} must be an integer >= 1, got {value!r}")
     return workers
+
+
+def _usable_dir(path: os.PathLike | str, what: str, *,
+                create: bool) -> pathlib.Path:
+    """Check, and with ``create`` make, a writable directory up front,
+    so a bad path fails before a run rather than at its first write."""
+    path = pathlib.Path(path)
+    try:
+        if create:
+            path.mkdir(parents=True, exist_ok=True)
+        existing = next(p for p in (path, *path.parents) if p.exists())
+    except OSError as exc:
+        raise ConfigurationError(
+            f"{what} {str(path)!r} is not a usable directory: {exc}")
+    if not (existing.is_dir() and os.access(existing, os.W_OK | os.X_OK)):
+        raise ConfigurationError(
+            f"{what} {str(path)!r} is not a usable directory: "
+            f"{str(existing)!r} is not a writable directory")
+    return path
 
 
 class RunContext:
@@ -117,38 +129,48 @@ class RunContext:
         self.backend = check_engine(backend) if backend is not None else None
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         if isinstance(cache, (str, os.PathLike)):
-            cache = ResultCache(cache, metrics=self.metrics)
+            cache = ResultCache(_usable_dir(cache, "cache", create=True),
+                                metrics=self.metrics)
         self.cache = cache
-        self.artifacts = (pathlib.Path(artifacts)
+        self.artifacts = (_usable_dir(artifacts, "artifact directory",
+                                      create=False)
                           if artifacts is not None else None)
         self.tracer = ensure_tracer(trace)
         self.progress = progress
         self._root_seed: Optional[int] = None
 
     @classmethod
-    def from_env(cls, **overrides) -> "RunContext":
-        """A context honoring the harness env knobs.
+    def from_env(cls, *, default_workers: int = 1,
+                 **overrides) -> "RunContext":
+        """A context from ``overrides`` over the environment knobs — the
+        one place run settings are read from the environment.
 
-        ``REPRO_WORKERS`` sets the pool size, ``REPRO_CACHE`` the cache
-        (``1`` = default ``.repro-cache/``, anything else = the
-        directory) — the same contract ``benchmarks/_common.py``
-        established for the bench harness — and ``REPRO_BACKEND`` the
-        simulation engine (validated here, so a bad value is a
-        :class:`~repro.errors.ConfigurationError` at startup rather
-        than a traceback from the first kernel call).
+        A knob absent from ``overrides`` (or None there) comes from its
+        variable: ``REPRO_WORKERS`` the pool size (else
+        ``default_workers``), ``REPRO_CACHE`` the cache (``1`` = default
+        ``.repro-cache/``, ``0`` or empty = none, anything else = the
+        directory) and ``REPRO_BACKEND`` the simulation engine.  Pool
+        sizes from either source must be integers >= 1, and an unusable
+        cache or artifact directory is rejected here: each failure is a
+        :class:`~repro.errors.ConfigurationError` (exit 2 from the CLI)
+        before anything runs.
         """
-        if "workers" not in overrides:
-            overrides["workers"] = workers_from_env(None)
-        if "cache" not in overrides:
-            value = os.environ.get("REPRO_CACHE", "")
+        env = os.environ
+        settings = {k: v for k, v in overrides.items() if v is not None}
+        if "workers" in settings:
+            settings["workers"] = _pool_size(settings["workers"], "workers")
+        else:
+            value = env.get("REPRO_WORKERS", "")
+            settings["workers"] = (_pool_size(value, "REPRO_WORKERS")
+                                   if value else default_workers)
+        if "cache" not in settings:
+            value = env.get("REPRO_CACHE", "")
             if value and value != "0":
-                from ..exec.cache import DEFAULT_CACHE_DIR
-                overrides["cache"] = (DEFAULT_CACHE_DIR if value == "1"
-                                      else value)
-        if "backend" not in overrides:
-            value = os.environ.get("REPRO_BACKEND", "")
-            overrides["backend"] = check_engine(value) if value else None
-        return cls(**overrides)
+                settings["cache"] = (DEFAULT_CACHE_DIR if value == "1"
+                                     else value)
+        if "backend" not in settings and env.get("REPRO_BACKEND"):
+            settings["backend"] = env["REPRO_BACKEND"]
+        return cls(**settings)
 
     def resolved_backend(self) -> str:
         """The engine this context's runs execute on: the explicit

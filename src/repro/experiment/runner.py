@@ -1,6 +1,10 @@
 """Execute an :class:`ExperimentSpec` and write its provenance.
 
-:func:`run_experiment` is the one door every run shape goes through:
+:func:`run_experiment` is the one door every run shape goes through.
+It looks the spec's kind up in the one kind registry
+(:func:`~repro.experiment.spec.register_spec_kind`) and calls the
+runner registered there; the built-in kinds register below exactly as
+``campaign`` and ``federation`` do in their own packages:
 
 * **scenario** specs run as a single *grid point* through the same
   :class:`~repro.exec.runner.ParallelRunner` the sweeps use — which is
@@ -25,8 +29,8 @@ import contextlib
 import hashlib
 import json
 import time
-from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from dataclasses import dataclass, field
+from typing import Dict, Optional
 
 from ..errors import ConfigurationError
 from ..exec.seeding import canonical_json
@@ -34,39 +38,32 @@ from ..vectorize import SIM_BACKENDS, use_backend
 from .context import RunContext
 from .manifest import RunManifest, package_code_version
 from .registry import sweep_target
-from .spec import BenchSpec, ExperimentSpec, ScenarioSpec, SweepSpec
+from .spec import (BenchSpec, ExperimentSpec, ScenarioSpec, SweepSpec,
+                   register_spec_kind, spec_kind)
 
-__all__ = ["RunResult", "register_spec_runner", "run_experiment"]
-
-
-#: Executors for spec kinds defined outside this module.  Each maps a
-#: kind to ``fn(spec, ctx, version) -> (payload, summary, value,
-#: extra_artifacts)`` where ``extra_artifacts`` is a ``{filename: bytes}``
-#: dict of *deterministic* files that join the manifest's digested
-#: artifact set (e.g. a chaos campaign report).
-_SPEC_RUNNERS: Dict[str, Callable] = {}
-
-#: Lazily imported providers, mirroring the spec layer's lazy kinds.
-_LAZY_RUNNERS: Dict[str, str] = {
-    "campaign": "repro.chaos",
-    "federation": "repro.federation",
-}
+__all__ = ["RunOutput", "RunResult", "run_experiment"]
 
 
-def register_spec_runner(kind: str, fn: Callable) -> Callable:
-    """Let :func:`run_experiment` execute an extension spec kind."""
-    _SPEC_RUNNERS[kind] = fn
-    return fn
+@dataclass
+class RunOutput:
+    """What every registered runner returns.
 
+    ``payload`` is the JSON-able result record (``result.json``, and
+    what the result digest covers); ``summary`` the manifest's outcome
+    summary; ``value`` the richer in-process object, if any.  Both
+    artifact maps hold JSON documents by file name: ``artifacts`` are
+    deterministic and join the manifest's digested artifact set (a
+    campaign report); ``run_artifacts`` are written and hashed only when
+    the run persists, outside the digest (bench timings).  ``timings``
+    land in the manifest's run section.
+    """
 
-def _spec_runner(kind: str) -> Optional[Callable]:
-    fn = _SPEC_RUNNERS.get(kind)
-    if fn is None and kind in _LAZY_RUNNERS:
-        import importlib
-
-        importlib.import_module(_LAZY_RUNNERS[kind])
-        fn = _SPEC_RUNNERS.get(kind)
-    return fn
+    payload: Dict[str, object]
+    summary: Dict[str, object]
+    value: object = None
+    artifacts: Dict[str, object] = field(default_factory=dict)
+    run_artifacts: Dict[str, object] = field(default_factory=dict)
+    timings: Dict[str, float] = field(default_factory=dict)
 
 
 @dataclass
@@ -153,7 +150,7 @@ def _run_scenario(spec: ScenarioSpec, ctx: RunContext, version: str):
         outcome = scenario.run(until=seconds(spec.until_s),
                                trace=ctx.tracer)
         payload = _outcome_payload(outcome)
-        return payload, payload, outcome
+        return RunOutput(payload, payload, outcome)
     params: Dict[str, object] = {"spec": spec.to_json()}
     engine = ctx.resolved_backend()
     if engine not in SIM_BACKENDS:
@@ -161,7 +158,7 @@ def _run_scenario(spec: ScenarioSpec, ctx: RunContext, version: str):
     runner = ctx.runner(code_version=version)
     outcomes = runner.map(_scenario_point, [params])
     payload = outcomes[0].value
-    return payload, payload, None
+    return RunOutput(payload, payload)
 
 
 def _run_sweep(spec: SweepSpec, ctx: RunContext, version: str):
@@ -205,10 +202,14 @@ def _run_sweep(spec: SweepSpec, ctx: RunContext, version: str):
         "ok": sum(1 for r in result.records if r.ok),
         "failed": sum(1 for r in result.records if not r.ok),
     }
-    return payload, summary, result
+    return RunOutput(payload, summary, result)
 
 
-def _run_bench(spec: BenchSpec, ctx: RunContext):
+def _render_sweep(result) -> str:
+    return result.value.table(result.spec.name).render_text()
+
+
+def _run_bench(spec: BenchSpec, ctx: RunContext, version: str):
     from .. import bench
 
     suite = bench.run_suite_from_spec(spec)
@@ -223,10 +224,11 @@ def _run_bench(spec: BenchSpec, ctx: RunContext):
     timings = {name: float(seconds)
                for name, seconds in sorted(suite["results"].items())}
     timings["calibration"] = float(suite["calibration"])
-    return payload, summary, suite, timings
+    return RunOutput(payload, summary, suite,
+                     run_artifacts={"timings.json": suite}, timings=timings)
 
 
-def _pretty_bytes(data: Dict[str, object]) -> bytes:
+def _pretty_bytes(data: object) -> bytes:
     text = json.dumps(data, indent=2, sort_keys=True) + "\n"
     return text.encode("utf-8")
 
@@ -260,39 +262,23 @@ def run_experiment(spec: ExperimentSpec,
     stats_before = ctx.stats()
     started = time.perf_counter()
 
-    value: object = None
-    timings: Dict[str, float] = {}
-    extra_artifacts: Dict[str, bytes] = {}
+    run = spec_kind(spec.kind).run
     # An explicit context backend becomes the process default for the
     # duration of the run, so every kernel the spec reaches — including
     # traced in-process scenarios and serial sweep points — resolves it.
-    with contextlib.ExitStack() as stack:
-        if ctx.backend is not None:
-            stack.enter_context(use_backend(ctx.backend))
-        if isinstance(spec, ScenarioSpec):
-            payload, summary, value = _run_scenario(spec, ctx, version)
-        elif isinstance(spec, SweepSpec):
-            payload, summary, value = _run_sweep(spec, ctx, version)
-        elif isinstance(spec, BenchSpec):
-            payload, summary, value, timings = _run_bench(spec, ctx)
-        else:
-            runner_fn = _spec_runner(spec.kind)
-            if runner_fn is None:
-                raise ConfigurationError(
-                    f"cannot execute spec kind {type(spec).__name__!r}")
-            payload, summary, value, extra_artifacts = runner_fn(
-                spec, ctx, version)
+    with (use_backend(ctx.backend) if ctx.backend is not None
+          else contextlib.nullcontext()):
+        out = run(spec, ctx, version)
+    timings = dict(out.timings)
     timings["elapsed_s"] = round(time.perf_counter() - started, 6)
 
-    spec_bytes = _pretty_bytes(spec.to_dict())
-    result_bytes = _pretty_bytes(payload)
+    files = {"spec.json": _pretty_bytes(spec.to_dict()),
+             "result.json": _pretty_bytes(out.payload)}
+    for name, doc in sorted(out.artifacts.items()):
+        files[name] = _pretty_bytes(doc)
     stats_after = ctx.stats()
     delta = {k: v - stats_before.get(k, 0) for k, v in stats_after.items()
              if v - stats_before.get(k, 0)}
-    artifacts = {"spec.json": _sha256(spec_bytes),
-                 "result.json": _sha256(result_bytes)}
-    for name, data in sorted(extra_artifacts.items()):
-        artifacts[name] = _sha256(data)
     manifest = RunManifest(
         kind=spec.kind,
         name=spec.name,
@@ -300,9 +286,9 @@ def run_experiment(spec: ExperimentSpec,
         code_version=version,
         seed=spec.seed,
         result_digest=_sha256(
-            canonical_json(payload).encode("utf-8")),
-        summary=summary,
-        artifacts=artifacts,
+            canonical_json(out.payload).encode("utf-8")),
+        summary=out.summary,
+        artifacts={name: _sha256(data) for name, data in files.items()},
         timings=timings,
         stats=delta,
         workers=ctx.workers,
@@ -313,17 +299,20 @@ def run_experiment(spec: ExperimentSpec,
     manifest_path = None
     if persist:
         out_dir = ctx.artifact_dir(spec.name)
-        (out_dir / "spec.json").write_bytes(spec_bytes)
-        (out_dir / "result.json").write_bytes(result_bytes)
-        for name, data in sorted(extra_artifacts.items()):
+        for name, data in files.items():
             (out_dir / name).write_bytes(data)
-        if isinstance(spec, BenchSpec):
-            suite_bytes = _pretty_bytes(value)
-            (out_dir / "timings.json").write_bytes(suite_bytes)
-            manifest.run_artifacts["timings.json"] = _sha256(suite_bytes)
+        for name, doc in sorted(out.run_artifacts.items()):
+            data = _pretty_bytes(doc)
+            (out_dir / name).write_bytes(data)
+            manifest.run_artifacts[name] = _sha256(data)
         manifest_path = manifest.write(out_dir / "manifest.json")
         artifact_dir = str(out_dir)
 
-    return RunResult(spec=spec, manifest=manifest, payload=payload,
-                     value=value, artifact_dir=artifact_dir,
+    return RunResult(spec=spec, manifest=manifest, payload=out.payload,
+                     value=out.value, artifact_dir=artifact_dir,
                      manifest_path=manifest_path)
+
+
+register_spec_kind(ScenarioSpec, _run_scenario)
+register_spec_kind(SweepSpec, _run_sweep, _render_sweep)
+register_spec_kind(BenchSpec, _run_bench)

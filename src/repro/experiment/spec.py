@@ -19,6 +19,11 @@ Three kinds cover the repo's three historic run shapes:
   :mod:`repro.experiment.registry`);
 * ``bench`` (:class:`BenchSpec`) — a :mod:`repro.bench` timing suite.
 
+The kind registry at the end of this module pairs each kind's class
+with the runner and renderer :func:`register_spec_kind` was given; the
+built-in runners register from :mod:`repro.experiment.runner`, the
+``campaign`` and ``federation`` ones from their own packages.
+
 Specs serialize through the same :func:`repro.exec.seeding.canonical_json`
 the result cache keys use, so ``spec.digest()`` is stable across
 processes, platforms and ``PYTHONHASHSEED`` — two people holding the
@@ -34,7 +39,8 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field, fields
-from typing import ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple, Type
+from typing import (Callable, ClassVar, Dict, List, Mapping, Optional,
+                    Sequence, Tuple, Type)
 
 from ..errors import ConfigurationError
 from ..exec.seeding import canonical_json
@@ -48,11 +54,13 @@ __all__ = [
     "LinkCutSpec",
     "MeshSpec",
     "ScenarioSpec",
+    "SpecKind",
     "SweepSpec",
     "load_spec",
     "lazy_spec_kinds",
     "register_spec_kind",
     "registered_spec_kinds",
+    "spec_kind",
     "spec_kinds",
 ]
 
@@ -259,13 +267,7 @@ class ExperimentSpec:
             raise ConfigurationError(
                 f"spec has schema {schema!r}; this library speaks "
                 f"schema {SPEC_SCHEMA_VERSION}")
-        kind = data.get("kind")
-        cls = _resolve_kind(kind)
-        if cls is None:
-            known = ", ".join(sorted(set(_SPEC_KINDS) | set(_LAZY_KINDS)))
-            raise ConfigurationError(
-                f"unknown spec kind {kind!r}; known kinds: {known}")
-        return cls._from_payload(data)
+        return spec_kind(data.get("kind")).cls._from_payload(data)
 
     @staticmethod
     def from_json(text: str) -> "ExperimentSpec":
@@ -283,6 +285,10 @@ class ExperimentSpec:
         except OSError as exc:
             raise ConfigurationError(f"cannot read spec {path!r}: {exc}")
         return ExperimentSpec.from_json(text)
+
+    def points(self) -> Optional[int]:
+        """Progress units a run reports, when the kind knows up front."""
+        return None
 
     # -- subclass hooks -------------------------------------------------------
     def _payload_dict(self) -> Dict[str, object]:
@@ -314,6 +320,9 @@ class ScenarioSpec(ExperimentSpec):
             _require(fault.at_s < self.until_s,
                      f"fault at t={fault.at_s}s is not before the "
                      f"horizon {self.until_s}s")
+
+    def points(self) -> int:
+        return 1
 
     def _payload_dict(self) -> Dict[str, object]:
         return {
@@ -467,51 +476,84 @@ class BenchSpec(ExperimentSpec):
         )
 
 
-_SPEC_KINDS: Dict[str, Type[ExperimentSpec]] = {
-    ScenarioSpec.kind: ScenarioSpec,
-    SweepSpec.kind: SweepSpec,
-    BenchSpec.kind: BenchSpec,
-}
+@dataclass(frozen=True)
+class SpecKind:
+    """A registered spec kind: its class, its runner, its renderer.
+
+    ``run(spec, ctx, version)`` executes a spec and returns a
+    :class:`~repro.experiment.runner.RunOutput`.  ``render(result)``
+    returns the text ``repro run`` prints for a
+    :class:`~repro.experiment.runner.RunResult` ahead of its summary
+    lines (a sweep's table, a campaign's report); None prints the
+    summary lines alone.
+    """
+
+    cls: Type[ExperimentSpec]
+    run: Callable
+    render: Optional[Callable] = None
+
+
+_KINDS: Dict[str, SpecKind] = {}
 
 #: Kinds defined by optional subsystems, resolved on first use so this
-#: module never imports them eagerly (repro.chaos imports repro.experiment;
-#: the reverse edge would be a cycle).  Importing the named module must
-#: call :func:`register_spec_kind` as a side effect.
+#: package never imports them eagerly (repro.chaos imports
+#: repro.experiment; the reverse edge would be a cycle).  Importing the
+#: named module must call :func:`register_spec_kind` as a side effect.
 _LAZY_KINDS: Dict[str, str] = {
     "campaign": "repro.chaos",
     "federation": "repro.federation",
 }
 
 
-def register_spec_kind(cls: Type[ExperimentSpec]) -> Type[ExperimentSpec]:
-    """Register an :class:`ExperimentSpec` subclass under its ``kind``.
+def register_spec_kind(cls: Type[ExperimentSpec], run: Callable,
+                       render: Optional[Callable] = None) -> SpecKind:
+    """Register a spec kind: its class, its runner, its renderer.
 
-    Makes the kind parseable by :meth:`ExperimentSpec.from_dict` (and so
-    by ``repro run`` / ``repro specs``).  Usable as a class decorator.
-    Re-registering the same class is a no-op; registering a *different*
-    class under a taken kind raises.
+    The one registration every kind goes through, built-in or not: it
+    makes ``cls.kind`` parseable by :meth:`ExperimentSpec.from_dict` and
+    runnable by :func:`~repro.experiment.run_experiment` (and so by
+    ``repro run`` / ``repro serve``).  Re-registering the same class
+    replaces its runner and renderer; registering a *different* class
+    under a taken kind raises.
     """
     kind = cls.kind
     if not kind:
         raise ConfigurationError(
             f"{cls.__name__} has no 'kind' class attribute to register")
-    existing = _SPEC_KINDS.get(kind)
-    if existing is not None and existing is not cls:
+    existing = _KINDS.get(kind)
+    if existing is not None and existing.cls is not cls:
         raise ConfigurationError(
             f"spec kind {kind!r} is already registered to "
-            f"{existing.__name__}")
-    _SPEC_KINDS[kind] = cls
-    return cls
+            f"{existing.cls.__name__}")
+    _KINDS[kind] = SpecKind(cls=cls, run=run, render=render)
+    return _KINDS[kind]
+
+
+def spec_kind(kind: object) -> SpecKind:
+    """The registration for ``kind``, imported on first use if lazy.
+
+    Raises :class:`~repro.errors.ConfigurationError` naming the known
+    kinds when there is none.
+    """
+    if kind not in _KINDS and kind in _LAZY_KINDS:
+        import importlib
+
+        importlib.import_module(_LAZY_KINDS[kind])
+    if kind not in _KINDS:
+        raise ConfigurationError(
+            f"unknown spec kind {kind!r}; known kinds: "
+            f"{', '.join(spec_kinds())}")
+    return _KINDS[kind]
 
 
 def spec_kinds() -> Tuple[str, ...]:
     """Every parseable spec kind, lazy ones included (sorted)."""
-    return tuple(sorted(set(_SPEC_KINDS) | set(_LAZY_KINDS)))
+    return tuple(sorted(set(_KINDS) | set(_LAZY_KINDS)))
 
 
 def registered_spec_kinds() -> Tuple[str, ...]:
     """Kinds whose classes are already imported (sorted)."""
-    return tuple(sorted(_SPEC_KINDS))
+    return tuple(sorted(_KINDS))
 
 
 def lazy_spec_kinds() -> Tuple[str, ...]:
@@ -519,17 +561,7 @@ def lazy_spec_kinds() -> Tuple[str, ...]:
     (sorted).  Callers that only need to *list* specs can treat these
     from the raw JSON instead of parsing, keeping listing side-effect
     free (see ``repro specs``)."""
-    return tuple(sorted(set(_LAZY_KINDS) - set(_SPEC_KINDS)))
-
-
-def _resolve_kind(kind: object) -> Optional[Type[ExperimentSpec]]:
-    cls = _SPEC_KINDS.get(kind)
-    if cls is None and kind in _LAZY_KINDS:
-        import importlib
-
-        importlib.import_module(_LAZY_KINDS[kind])
-        cls = _SPEC_KINDS.get(kind)
-    return cls
+    return tuple(sorted(set(_LAZY_KINDS) - set(_KINDS)))
 
 
 def load_spec(path: os.PathLike | str) -> ExperimentSpec:

@@ -11,15 +11,14 @@ golden gating exactly like scenarios, sweeps, and campaigns.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List
 
 import numpy as np
 
 from ..exec.seeding import derive_seed
-from ..experiment.runner import register_spec_runner
-from ..experiment.spec import ExperimentSpec
+from ..experiment.runner import RunOutput
+from ..experiment.spec import ExperimentSpec, register_spec_kind
 from ..units import GB
 from ..workloads.cachepop import working_set_trace
 from .domain import build_federation
@@ -89,8 +88,8 @@ def _federation_point(spec: str, scale: float) -> Dict[str, object]:
 def run_federation(spec: FederationSpec, ctx, version: str):
     """Execute a federation spec; the ``"federation"`` runner entry.
 
-    Returns ``(payload, summary, value, extra_artifacts)`` per the
-    extension-runner contract.  The payload carries the full
+    Returns a :class:`~repro.experiment.runner.RunOutput` whose one
+    artifact is ``curve.json``.  The payload carries the full
     hit-rate-vs-cache-size curve and nothing environment-dependent, so
     its digest is identical serial vs pooled and cold vs warm — the
     property the differential tests and the golden gate rely on.
@@ -127,18 +126,15 @@ def run_federation(spec: FederationSpec, ctx, version: str):
         "byte_savings_max": max(p["byte_savings"] for p in curve),
     }
     value = FederationResult(spec=spec, curve=curve)
-    extra_artifacts = {
-        "curve.json": (json.dumps(
-            [{"scale": p["scale"],
-              "cache_bytes_total": p["cache_bytes_total"],
-              "hit_rate": p["hit_rate"],
-              "byte_savings": p["byte_savings"]} for p in curve],
-            indent=2, sort_keys=True) + "\n").encode("utf-8"),
-    }
-    return payload, summary, value, extra_artifacts
+    curve_json = [{"scale": p["scale"],
+                   "cache_bytes_total": p["cache_bytes_total"],
+                   "hit_rate": p["hit_rate"],
+                   "byte_savings": p["byte_savings"]} for p in curve]
+    return RunOutput(payload, summary, value,
+                     artifacts={"curve.json": curve_json})
 
 
-register_spec_runner("federation", run_federation)
+register_spec_kind(FederationSpec, run_federation)
 
 
 def federation_hit_rate(cache_gb: float, alpha: float,

@@ -22,7 +22,7 @@ from typing import ClassVar, Dict, Mapping, Tuple
 
 from ..devices.cache import CACHE_POLICIES
 from ..errors import ConfigurationError
-from ..experiment.spec import ExperimentSpec, register_spec_kind
+from ..experiment.spec import ExperimentSpec
 
 __all__ = [
     "CacheWorkloadSpec",
@@ -137,7 +137,6 @@ class CacheWorkloadSpec:
         )
 
 
-@register_spec_kind
 @dataclass(frozen=True)
 class FederationSpec(ExperimentSpec):
     """A multi-domain federation with in-network caches, as one document."""

@@ -43,13 +43,18 @@ class ServiceClient:
 
     def __init__(self, base_url: str, *, timeout: float = 60.0,
                  max_retries: int = 8) -> None:
-        split = urlsplit(base_url if "//" in base_url
-                         else f"http://{base_url}")
+        try:
+            split = urlsplit(base_url if "//" in base_url
+                             else f"http://{base_url}")
+            port = split.port
+        except ValueError as exc:
+            raise ConfigurationError(
+                f"bad service URL {base_url!r}: {exc}")
         if split.scheme not in ("", "http"):
             raise ConfigurationError(
                 f"only http:// service URLs are supported, got {base_url!r}")
         self.host = split.hostname or "127.0.0.1"
-        self.port = split.port or 80
+        self.port = port or 80
         self.timeout = float(timeout)
         self.max_retries = int(max_retries)
 

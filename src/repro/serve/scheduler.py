@@ -193,10 +193,7 @@ class ExperimentService:
             spec = ExperimentSpec.from_dict(spec)
         canonical = spec.to_json()
         digest = spec.digest()
-        points = getattr(spec, "points", None)
-        points_total = points() if callable(points) else None
-        if spec.kind == "scenario":
-            points_total = 1
+        points_total = spec.points()
 
         with self._lock:
             self._c_submitted.inc()
@@ -566,11 +563,8 @@ class ExperimentService:
                     spec_json=spec.to_json(),
                     submitted_at=float(entry.get("submitted_at", 0.0)
                                        or time.time()),
+                    points_total=spec.points(),
                 )
-                points = getattr(spec, "points", None)
-                job.points_total = (points() if callable(points)
-                                    else 1 if spec.kind == "scenario"
-                                    else None)
                 self.queue.push(job, tenant=job.tenant,
                                 priority=job.priority,
                                 workers=max(1, self.workers))

@@ -267,11 +267,73 @@ class TestExitCodeConvention:
                          "4.5e-5", "--workers", "1")
         assert rc == EXIT_OK and "workers=1" in out
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize("argv", [
+        ("run", SPECS / "fig1_tcp_loss_quick.json", "--no-persist"),
+        ("sweep", "mathis", "--rtt", "10", "--loss", "4.5e-5"),
+        ("chaos", SPECS / "chaos_quick.json", "--no-persist"),
+        ("serve", "--port", "0"),
+    ], ids=["run", "sweep", "chaos", "serve"])
+    def test_bad_workers_flag_is_two(self, cli, monkeypatch, argv, value):
+        # The flag gets the REPRO_WORKERS rule, not a silent clamp to 1.
+        import repro.serve
+
+        def must_not_serve(*args, **kwargs):
+            raise AssertionError("served despite a bad --workers")
+
+        monkeypatch.setattr(repro.serve, "serve_forever", must_not_serve)
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        rc, _, err = cli(*argv, "--workers", value)
+        assert rc == EXIT_BAD_INPUT
+        assert "workers must be an integer >= 1" in err
+        assert "Traceback" not in err
+
     def test_repro_workers_default(self, monkeypatch):
-        from repro.experiment.context import workers_from_env
+        from repro.experiment import RunContext
 
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        assert workers_from_env() == 1
-        assert workers_from_env(2) == 2
+        assert RunContext.from_env().workers == 1
+        assert RunContext.from_env(default_workers=2).workers == 2
         monkeypatch.setenv("REPRO_WORKERS", "3")
-        assert workers_from_env(2) == 3
+        assert RunContext.from_env(default_workers=2).workers == 3
+        assert RunContext.from_env(workers=4).workers == 4
+
+    @pytest.mark.parametrize("argv", [
+        ("run", SPECS / "fig1_tcp_loss_quick.json", "--no-persist",
+         "--cache-dir", "{blocker}"),
+        ("run", SPECS / "fig1_tcp_loss_quick.json",
+         "--artifacts", "{blocker}/runs"),
+        ("sweep", "mathis", "--rtt", "10", "--cache-dir", "{blocker}"),
+        ("chaos", SPECS / "chaos_quick.json", "--no-persist",
+         "--cache-dir", "{blocker}"),
+        ("chaos", SPECS / "chaos_quick.json", "--artifacts",
+         "{blocker}/runs"),
+    ], ids=["run-cache", "run-artifacts", "sweep-cache", "chaos-cache",
+            "chaos-artifacts"])
+    def test_unusable_directory_is_two_before_running(
+            self, cli, monkeypatch, tmp_path, argv):
+        import repro.cli
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("ran a spec despite a bad directory")
+
+        monkeypatch.setattr(repro.cli, "run_experiment", must_not_run)
+        blocker = tmp_path / "a-file"
+        blocker.write_text("not a directory")
+        rc, _, err = cli(*(str(a).format(blocker=blocker) for a in argv))
+        assert rc == EXIT_BAD_INPUT
+        assert "is not a usable directory" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("url", ["http://127.0.0.1:notaport",
+                                     "http://[::1"])
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    def test_malformed_service_url_is_two(self, cli, monkeypatch, url,
+                                          via):
+        if via == "flag":
+            rc, _, err = cli("jobs", "--url", url)
+        else:
+            monkeypatch.setenv("REPRO_SERVE_URL", url)
+            rc, _, err = cli("jobs")
+        assert rc == EXIT_BAD_INPUT
+        assert "bad service URL" in err and "Traceback" not in err
