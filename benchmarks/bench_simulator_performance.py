@@ -26,6 +26,7 @@ from repro.netsim import Link, Topology
 from repro.netsim.packetsim import BurstySource, simulate_fan_in
 from repro.tcp import Reno, TcpConnection
 from repro.units import GB, Gbps, KB, MB, Mbps, bytes_, ms, seconds
+from tests.reference.kernels import scalar_kernels
 
 BASELINE_PATH = pathlib.Path(__file__).parent / "baseline.json"
 
@@ -120,14 +121,15 @@ def test_perf_multiflow_64x4(benchmark):
 
 
 def test_perf_vectorized_backends_agree():
-    """The scalar and vectorized backends must return byte-identical
-    results on the many-flow chain scenario (quick-sized here; the full
-    randomized battery lives in tests/test_vectorized_equivalence.py)."""
-    outs = {}
-    for backend in ("numpy", "python"):
-        sim, horizon = perf._chain_simulation(backend, True)
-        outs[backend] = sim.run(until=horizon)
-    a, b = outs["numpy"], outs["python"]
+    """The vectorized kernels and the scalar references in
+    tests/reference/kernels.py must return byte-identical results on the
+    many-flow chain scenario (quick-sized here; the full randomized
+    battery lives in tests/test_vectorized_equivalence.py)."""
+    sim, horizon = perf._chain_simulation("numpy", True)
+    a = sim.run(until=horizon)
+    with scalar_kernels():
+        sim, horizon = perf._chain_simulation("numpy", True)
+        b = sim.run(until=horizon)
     assert set(a) == set(b)
     for label in a:
         assert a[label].delivered.bits == b[label].delivered.bits
@@ -136,27 +138,30 @@ def test_perf_vectorized_backends_agree():
 
 
 def test_perf_vectorized_speedups():
-    """The vectorized kernels must beat the scalar references: >=5x on
-    the 64-flow chain, >=3x on the fan-in sweep (asserted only in full
-    mode; quick-mode workloads are too small to be meaningful)."""
+    """The vectorized kernels must beat the scalar references in
+    tests/reference/kernels.py: >=5x on the 64-flow chain, >=3x on the
+    fan-in sweep (asserted only in full mode; quick-mode workloads are
+    too small to be meaningful)."""
     is_quick = quick_mode()
     repeats = quick(3, 1)
-    times = {
-        name: perf.run_scenario(name, repeats=repeats,
-                                quick=is_quick)["seconds"]
-        for name in ("multiflow.numpy", "multiflow.python",
-                     "fanin.numpy", "fanin.python")
-    }
-    multiflow = times["multiflow.python"] / times["multiflow.numpy"]
-    fanin = times["fanin.python"] / times["fanin.numpy"]
+
+    def best(name):
+        return perf.run_scenario(name, repeats=repeats,
+                                 quick=is_quick)["seconds"]
+
+    kernel = {name: best(name) for name in ("multiflow.numpy", "fanin.numpy")}
+    with scalar_kernels():
+        reference = {name: best(name) for name in kernel}
+    multiflow = reference["multiflow.numpy"] / kernel["multiflow.numpy"]
+    fanin = reference["fanin.numpy"] / kernel["fanin.numpy"]
     emit("BENCH_speedups",
          "vectorized kernel speedups vs scalar reference\n"
          f"  multiflow 64x4: {multiflow:.2f}x "
-         f"({times['multiflow.python'] * 1e3:.0f}ms -> "
-         f"{times['multiflow.numpy'] * 1e3:.0f}ms)\n"
+         f"({reference['multiflow.numpy'] * 1e3:.0f}ms -> "
+         f"{kernel['multiflow.numpy'] * 1e3:.0f}ms)\n"
          f"  fan-in sweep:   {fanin:.2f}x "
-         f"({times['fanin.python'] * 1e3:.0f}ms -> "
-         f"{times['fanin.numpy'] * 1e3:.0f}ms)")
+         f"({reference['fanin.numpy'] * 1e3:.0f}ms -> "
+         f"{kernel['fanin.numpy'] * 1e3:.0f}ms)")
     if not is_quick:
         assert multiflow >= 5.0, f"multiflow speedup {multiflow:.2f}x < 5x"
         assert fanin >= 3.0, f"fan-in speedup {fanin:.2f}x < 3x"

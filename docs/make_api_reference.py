@@ -5,7 +5,11 @@ Walks every subpackage's ``__all__``, collects signatures and first
 docstring lines, and writes a markdown reference.  Run after changing
 any public surface:
 
-    python docs/make_api_reference.py
+    PYTHONPATH=src python docs/make_api_reference.py
+
+The output is a pure function of the code, so regenerating an
+unchanged tree rewrites the same bytes; ``tests/test_docs_api_reference``
+fails when the committed file drifts from :func:`render`.
 """
 
 from __future__ import annotations
@@ -13,7 +17,10 @@ from __future__ import annotations
 import importlib
 import inspect
 import pathlib
+import re
 import sys
+
+TARGET = pathlib.Path(__file__).parent / "api.md"
 
 MODULES = [
     "repro",
@@ -82,11 +89,24 @@ def describe(name: str, obj) -> list:
         lines.append(f"{first_line(obj)}\n")
     else:
         lines.append(f"### `{name}`\n")
-        lines.append(f"Constant: `{obj!r}`\n")
+        lines.append(f"Constant: `{constant_repr(obj)}`\n")
     return lines
 
 
-def main() -> int:
+def constant_repr(obj) -> str:
+    """``repr(obj)`` with every function shown by its qualified name
+    alone, and set members sorted.  The default ``<function f at
+    0x7f...>`` carries a memory address, and set order follows string
+    hashing; both change from one process to the next."""
+    if isinstance(obj, (set, frozenset)) and obj:
+        items = "{" + ", ".join(sorted(map(constant_repr, obj))) + "}"
+        return items if type(obj) is set else f"{type(obj).__name__}({items})"
+    return re.sub(r"<function (.+?) at 0x[0-9a-f]+>", r"<function \1>",
+                  repr(obj))
+
+
+def render() -> str:
+    """The reference as markdown."""
     out = ["# API reference",
            "",
            "Generated by `python docs/make_api_reference.py`; "
@@ -110,9 +130,13 @@ def main() -> int:
             if inspect.ismodule(obj):
                 continue
             out.extend(describe(name, obj))
-    target = pathlib.Path(__file__).parent / "api.md"
-    target.write_text("\n".join(out) + "\n", encoding="utf-8")
-    print(f"wrote {target} ({len(out)} lines)")
+    return "\n".join(out) + "\n"
+
+
+def main() -> int:
+    text = render()
+    TARGET.write_text(text, encoding="utf-8")
+    print(f"wrote {TARGET} ({text.count(chr(10))} lines)")
     return 0
 
 

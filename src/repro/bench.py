@@ -45,6 +45,7 @@ __all__ = [
     "run_scenario",
     "run_suite",
     "run_suite_from_spec",
+    "select",
     "write_json",
 ]
 
@@ -113,54 +114,47 @@ def _chain_simulation(backend: str, quick: bool):
     return sim, horizon
 
 
-def _multiflow_factory(backend: str):
-    def factory(quick: bool):
-        sim, horizon = _chain_simulation(backend, quick)
-        return lambda: sim.run(until=horizon)
-    return factory
+def _multiflow_factory(quick: bool):
+    sim, horizon = _chain_simulation("numpy", quick)
+    return lambda: sim.run(until=horizon)
 
 
-def _fanin_factory(backend: str):
-    def factory(quick: bool):
-        from .netsim.packetsim import BurstySource, simulate_fan_in
-        from .units import Gbps, KB, Mbps, seconds
+def _fanin_factory(quick: bool):
+    from .netsim.packetsim import BurstySource, simulate_fan_in
+    from .units import Gbps, KB, Mbps, seconds
 
-        n_sources = 3 if quick else 8
-        duration = seconds(0.2) if quick else seconds(2.0)
-        sources = [BurstySource(name=f"s{i}", line_rate=Gbps(1),
-                                mean_rate=Mbps(600), burst_size=KB(128))
-                   for i in range(n_sources)]
-        # Moderate-drop regime (~6% loss): enough contention that the
-        # drop machinery runs, not so much that the sweep degenerates
-        # into per-packet drop handling.
-        return lambda: simulate_fan_in(
-            sources, egress_rate=Gbps(4.5), buffer_size=KB(512),
-            duration=duration, rng=np.random.default_rng(7),
-            backend=backend)
-    return factory
+    n_sources = 3 if quick else 8
+    duration = seconds(0.2) if quick else seconds(2.0)
+    sources = [BurstySource(name=f"s{i}", line_rate=Gbps(1),
+                            mean_rate=Mbps(600), burst_size=KB(128))
+               for i in range(n_sources)]
+    # Moderate-drop regime (~6% loss): enough contention that the
+    # drop machinery runs, not so much that the sweep degenerates
+    # into per-packet drop handling.
+    return lambda: simulate_fan_in(
+        sources, egress_rate=Gbps(4.5), buffer_size=KB(512),
+        duration=duration, rng=np.random.default_rng(7))
 
 
-def _maxmin_factory(backend: str):
-    def factory(quick: bool):
-        from .tcp.simulate import max_min_fair_allocation
+def _maxmin_factory(quick: bool):
+    from .tcp.simulate import max_min_fair_allocation
 
-        n_flows = 40 if quick else 200
-        n_links = 12 if quick else 60
-        n_calls = 5 if quick else 200
-        rng = np.random.default_rng(11)
-        usage = rng.random((n_flows, n_links)) < 0.15
-        usage[:, 0] = True  # every flow crosses the shared border link
-        demands = rng.random(n_flows) * 10.0
-        capacities = rng.random(n_links) * 40.0 + 1.0
+    n_flows = 40 if quick else 200
+    n_links = 12 if quick else 60
+    n_calls = 5 if quick else 200
+    rng = np.random.default_rng(11)
+    usage = rng.random((n_flows, n_links)) < 0.15
+    usage[:, 0] = True  # every flow crosses the shared border link
+    demands = rng.random(n_flows) * 10.0
+    capacities = rng.random(n_links) * 40.0 + 1.0
 
-        def run():
-            total = 0.0
-            for _ in range(n_calls):
-                total += float(max_min_fair_allocation(
-                    demands, usage, capacities, backend=backend).sum())
-            return total
-        return run
-    return factory
+    def run():
+        total = 0.0
+        for _ in range(n_calls):
+            total += float(max_min_fair_allocation(
+                demands, usage, capacities).sum())
+        return total
+    return run
 
 
 def _megaflows_simulation(backend: str, quick: bool):
@@ -230,22 +224,13 @@ def _register(name: str, description: str,
 
 _register("multiflow.numpy",
           "64 flows x 4 streams, 30-link lossy chain (vectorized)",
-          _multiflow_factory("numpy"))
-_register("multiflow.python",
-          "64 flows x 4 streams, 30-link lossy chain (scalar reference)",
-          _multiflow_factory("python"))
+          _multiflow_factory)
 _register("fanin.numpy",
           "8-source fan-in Lindley sweep, 2s horizon (vectorized)",
-          _fanin_factory("numpy"))
-_register("fanin.python",
-          "8-source fan-in Lindley sweep, 2s horizon (scalar reference)",
-          _fanin_factory("python"))
+          _fanin_factory)
 _register("maxmin.numpy",
           "max-min fair allocation, 200 flows x 60 links x 100 calls",
-          _maxmin_factory("numpy"))
-_register("maxmin.python",
-          "max-min fair allocation, scalar reference",
-          _maxmin_factory("python"))
+          _maxmin_factory)
 _register("fluid_tcp",
           "single-connection fluid TCP, 20k lossy rounds",
           _fluid_tcp_factory)
@@ -280,6 +265,17 @@ def calibrate(repeats: int = 3) -> float:
     return best
 
 
+def select(names: Optional[Sequence[str]] = None) -> List[str]:
+    """The scenarios a run times: ``names`` checked against the
+    registry, or every registered scenario when ``names`` is empty."""
+    for name in names or ():
+        if name not in SCENARIOS:
+            known = ", ".join(sorted(SCENARIOS))
+            raise ConfigurationError(
+                f"unknown bench scenario {name!r}; known: {known}")
+    return list(names) if names else sorted(SCENARIOS)
+
+
 def run_scenario(name: str, *, repeats: int = 3,
                  quick: bool = False) -> Dict[str, object]:
     """Run one registered scenario; returns name/seconds/repeats.
@@ -288,12 +284,8 @@ def run_scenario(name: str, *, repeats: int = 3,
     standard choice for regression gating since it is the least noisy
     estimator of the true cost.
     """
-    try:
-        scenario = SCENARIOS[name]
-    except KeyError:
-        known = ", ".join(sorted(SCENARIOS))
-        raise ConfigurationError(
-            f"unknown bench scenario {name!r}; known: {known}")
+    select([name])
+    scenario = SCENARIOS[name]
     best = float("inf")
     for _ in range(max(1, repeats)):
         thunk = scenario.factory(quick)
@@ -308,12 +300,7 @@ def run_suite(names: Optional[Sequence[str]] = None, *, repeats: int = 3,
               progress: Optional[Callable[[str, float], None]] = None,
               ) -> Dict[str, object]:
     """Run scenarios and return the suite payload (see module docs)."""
-    selected = list(names) if names else sorted(SCENARIOS)
-    for name in selected:
-        if name not in SCENARIOS:
-            known = ", ".join(sorted(SCENARIOS))
-            raise ConfigurationError(
-                f"unknown bench scenario {name!r}; known: {known}")
+    selected = select(names)
     results: Dict[str, float] = {}
     for name in selected:
         results[name] = float(run_scenario(

@@ -79,6 +79,7 @@ Examples
 from __future__ import annotations
 
 import argparse
+import pathlib
 import sys
 from typing import Optional
 
@@ -87,17 +88,18 @@ import numpy as np
 from .analysis import ResultTable
 from .core import apply_upgrade, plan_upgrade
 from .dtn import Dataset, TransferPlan, TOOL_REGISTRY
-from .errors import ReproError, ServeError
+from .errors import ConfigurationError, ReproError, ServeError
 from .exec.cache import DEFAULT_CACHE_DIR
 from .experiment import (ExperimentSpec, RunContext, SweepSpec,
                          run_experiment, spec_kind)
+from .experiment.context import _usable_dir
 # The design registry moved to the experiment layer (specs refer to the
 # same names); re-exported here because callers and tests iterate
 # ``cli.DESIGNS``.
 from .experiment.registry import DESIGNS, build_design
 from .tcp.mathis import mathis_throughput, required_window
 from .units import parse_rate, parse_size, parse_time
-from .vectorize import SIM_ENGINES, default_backend
+from .vectorize import SIM_ENGINES, resolve_engine
 
 __all__ = ["main", "DESIGNS", "EXIT_OK", "EXIT_DOMAIN_FAILURE",
            "EXIT_BAD_INPUT"]
@@ -482,9 +484,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 def cmd_specs(args: argparse.Namespace) -> int:
     import hashlib
     import json
-    import pathlib
 
-    from .errors import ConfigurationError
     from .exec.seeding import canonical_json
     from .experiment import lazy_spec_kinds, spec_kinds
     from .experiment.spec import SPEC_SCHEMA_VERSION
@@ -548,12 +548,42 @@ def cmd_specs(args: argparse.Namespace) -> int:
     return 1 if bad else 0
 
 
+def _check_output_file(path: str, flag: str) -> None:
+    """Fail unless ``path`` can be written as a file (creating its
+    parent directory), so a bad path fails before any work."""
+    target = pathlib.Path(path)
+    if target.is_dir():
+        raise ConfigurationError(f"{flag} {path!r} is a directory")
+    _usable_dir(target.parent, f"{flag} {path!r}: directory", create=True)
+
+
 def cmd_bench(args: argparse.Namespace) -> int:
     from . import bench
 
+    # Every flag is checked before the suite is timed.
+    if args.repeats < 1:
+        raise ConfigurationError(
+            f"--repeats must be at least 1, got {args.repeats}")
+    if args.tolerance < 0:
+        raise ConfigurationError("--tolerance must be non-negative")
     names = None
-    if args.only:
+    if args.only is not None:
         names = [n.strip() for n in args.only.split(",") if n.strip()]
+        if not names:
+            raise ConfigurationError("--only names no scenario")
+        bench.select(names)
+    for path, flag in ((args.out, "--out"),
+                       (args.write_baseline, "--write-baseline")):
+        if path:
+            _check_output_file(path, flag)
+    baseline = None
+    if args.compare:
+        baseline = bench.load_baseline(args.compare)
+        if bool(baseline.get("quick")) != args.quick:
+            raise ConfigurationError(
+                f"refusing to compare with {args.compare!r}: one of it and "
+                "this run is in quick mode and the other is not; their "
+                "workloads differ")
 
     def progress(name: str, seconds: float) -> None:
         print(f"  {name:<24s} {seconds * 1000:10.1f} ms")
@@ -572,9 +602,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         bench.write_json(payload, args.write_baseline)
         print(f"wrote baseline to {args.write_baseline}")
 
-    if not args.compare:
+    if baseline is None:
         return 0
-    baseline = bench.load_baseline(args.compare)
     rows = bench.compare(payload, baseline, tolerance=args.tolerance)
     if not rows:
         print(f"no shared scenarios between this run and {args.compare}")
@@ -988,7 +1017,7 @@ def main(argv: Optional[list] = None) -> int:
         # Resolve the process-default engine now, so a bad REPRO_BACKEND
         # is the standard exit-2 error rather than a traceback from the
         # first kernel call (or from inside a pool worker).
-        default_backend()
+        resolve_engine()
         return args.func(args)
     except ServeError as exc:
         # Operational failure (unreachable service, failed job, full

@@ -33,7 +33,7 @@ from ..exec.cache import DEFAULT_CACHE_DIR, ResultCache
 from ..exec.runner import ParallelRunner
 from ..exec.seeding import derive_seed
 from ..telemetry import MetricsRegistry, ensure_tracer
-from ..vectorize import check_engine, default_backend
+from ..vectorize import resolve_engine
 
 __all__ = ["RunContext", "DEFAULT_RUNS_DIR"]
 
@@ -101,9 +101,9 @@ class RunContext:
         Simulation engine for the run — any
         :data:`repro.vectorize.SIM_ENGINES` member, validated here so a
         typo fails at context construction, not mid-run.  None (default)
-        defers to :func:`repro.vectorize.default_backend` at execution
-        time.  Exact-tier backends never change results (bit-identity);
-        the approximate tier ("fluid"/"hybrid") does, so the resolved
+        defers to :func:`repro.vectorize.resolve_engine` at execution
+        time.  The approximate tier ("fluid"/"hybrid") can change
+        results where the exact "numpy" kernel does not, so the resolved
         engine is recorded in the manifest's run section and joins the
         scenario cache identity.
     progress:
@@ -126,7 +126,7 @@ class RunContext:
                  progress: Optional[Callable[
                      [str, Mapping[str, object]], None]] = None) -> None:
         self.workers = max(1, int(workers or 1))
-        self.backend = check_engine(backend) if backend is not None else None
+        self.backend = resolve_engine(backend) if backend is not None else None
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         if isinstance(cache, (str, os.PathLike)):
             cache = ResultCache(_usable_dir(cache, "cache", create=True),
@@ -176,7 +176,7 @@ class RunContext:
         """The engine this context's runs execute on: the explicit
         ``backend`` knob, else the process default (which itself honors
         ``REPRO_BACKEND``)."""
-        return self.backend if self.backend is not None else default_backend()
+        return resolve_engine(self.backend)
 
     # -- seed tree ------------------------------------------------------------
     def bind(self, root_seed: int) -> "RunContext":

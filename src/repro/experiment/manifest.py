@@ -88,11 +88,10 @@ class RunManifest:
     stats: Dict[str, int] = field(default_factory=dict)
     workers: int = 1
     #: Resolved simulation engine the run executed on ("numpy",
-    #: "python", "fluid", "hybrid").  Run section, not core: the exact
-    #: tier is bit-identical by contract, so the digest must not fork on
-    #: it, and approximate engines are kept honest by the cache identity
-    #: instead (see ``repro.experiment.runner``).  None on manifests
-    #: written before the engine tier existed.
+    #: "fluid", "hybrid").  Run section, not core: the digest does not
+    #: fork on it, and approximate engines are kept honest by the cache
+    #: identity instead (see ``repro.experiment.runner``).  None on
+    #: manifests written before the engine tier existed.
     backend: Optional[str] = None
     #: Artifacts whose bytes legitimately vary run-to-run (e.g. bench
     #: timing payloads); hashed for the record but outside the digest.

@@ -34,7 +34,7 @@ from typing import Dict, Optional
 
 from ..errors import ConfigurationError
 from ..exec.seeding import canonical_json
-from ..vectorize import SIM_BACKENDS, use_backend
+from ..vectorize import use_backend
 from .context import RunContext
 from .manifest import RunManifest, package_code_version
 from .registry import sweep_target
@@ -118,8 +118,8 @@ def _scenario_point(spec: str,
     exactly like any sweep target.
 
     ``engine`` is only passed (and thus only joins the cache identity)
-    for the *approximate* tier: exact backends are bit-identical by
-    contract, so their runs must keep sharing cache entries, while a
+    for the *approximate* tier: runs on the exact numpy kernel share one
+    cache identity with and without an explicit engine, while a
     fluid/hybrid result may differ and can never be served to — or
     from — a per-flow run.  Passing it explicitly also applies the
     engine inside pool workers, which a parent-process default would
@@ -127,7 +127,6 @@ def _scenario_point(spec: str,
     """
     from ..scenario import Scenario
     from ..units import seconds
-    from ..vectorize import use_backend
 
     parsed = ExperimentSpec.from_json(spec)
     scenario = Scenario.from_spec(parsed)
@@ -153,7 +152,7 @@ def _run_scenario(spec: ScenarioSpec, ctx: RunContext, version: str):
         return RunOutput(payload, payload, outcome)
     params: Dict[str, object] = {"spec": spec.to_json()}
     engine = ctx.resolved_backend()
-    if engine not in SIM_BACKENDS:
+    if engine != "numpy":
         params["engine"] = engine
     runner = ctx.runner(code_version=version)
     outcomes = runner.map(_scenario_point, [params])
@@ -171,10 +170,10 @@ def _run_sweep(spec: SweepSpec, ctx: RunContext, version: str):
             f"{spec.target!r} is registered without a seed parameter")
     # Approximate engines fork the sweep cache identity via the version
     # tag (sweep targets take arbitrary grids, so there is no single
-    # params slot to carry the engine the way scenarios do); exact-tier
-    # runs keep sharing entries by the bit-identity contract.
+    # params slot to carry the engine the way scenarios do); runs on the
+    # exact numpy kernel share entries with and without an explicit engine.
     engine = ctx.resolved_backend()
-    if engine not in SIM_BACKENDS:
+    if engine != "numpy":
         version = f"{version}+{engine}"
     result = sweep(
         target.fn,

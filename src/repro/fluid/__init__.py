@@ -23,13 +23,13 @@ which is what makes 100k–1M concurrent flows tractable (see
 
 Accuracy contract
 -----------------
-The fluid engine is **approximate by design** — it belongs to the
-engine tier of :data:`repro.vectorize.SIM_ENGINES`, not the
-bit-identical backend tier.  The contract, gated by the megaflows
-bench, is a *delivered-bytes ratio within 1% of the per-flow kernels at
-matched horizon* for saturated many-flow workloads.  Scenarios below
-the hybrid switchover threshold never reach this engine at all: the
-``engine="hybrid"`` dispatcher keeps them on the exact kernels,
+The fluid engine is **approximate by design** — it is the approximate
+member of :data:`repro.vectorize.SIM_ENGINES`, beside the exact
+``"numpy"`` kernel.  The contract, gated by the megaflows bench, is a
+*delivered-bytes ratio within 1% of the per-flow kernel at matched
+horizon* for saturated many-flow workloads.  Scenarios below the
+hybrid switchover threshold never reach this engine at all: the
+``engine="hybrid"`` dispatcher keeps them on the exact kernel,
 byte-for-byte.
 """
 

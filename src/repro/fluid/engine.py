@@ -215,7 +215,7 @@ class FluidEngine:
         now = 0.0
         next_sample = 0.0
         samples: List[Tuple[float, float]] = []
-        allocate = self._filler._allocate_numpy
+        allocate = self._filler.allocate
 
         for tick in range(max_ticks):
             if now >= horizon_s:

@@ -13,19 +13,19 @@ This module simulates exactly that: bursty packet arrival processes swept
 through :class:`~repro.netsim.buffers.DropTailQueue` instances.  Arrival
 times are generated vectorially with numpy and merged with a single sorted
 sweep — orders of magnitude faster than per-packet event scheduling, while
-preserving per-packet drop decisions.
+preserving per-packet drop decisions: the sweep is bit-identical to the
+scalar per-packet loop kept as its oracle in ``tests/reference/kernels.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import ConfigurationError
 from ..units import DataRate, DataSize, TimeDelta, bits, bytes_, seconds
-from ..vectorize import check_backend, resolve_backend
 
 __all__ = [
     "BurstySource",
@@ -187,33 +187,6 @@ class FanInResult:
         return "\n".join(lines)
 
 
-def _sweep_python(
-    times: np.ndarray,
-    owners: np.ndarray,
-    n_sources: int,
-    cap_bits: float,
-    pkt_bits: float,
-    drain_bps: float,
-) -> Tuple[np.ndarray, np.ndarray, float]:
-    """Scalar reference Lindley sweep: one Python iteration per packet."""
-    backlog = 0.0
-    last_t = 0.0
-    max_backlog = 0.0
-    delivered = np.zeros(n_sources, dtype=np.int64)
-    dropped = np.zeros(n_sources, dtype=np.int64)
-    for t, who in zip(times, owners):
-        backlog = max(0.0, backlog - (t - last_t) * drain_bps)
-        last_t = t
-        if backlog + pkt_bits <= cap_bits:
-            backlog += pkt_bits
-            delivered[who] += 1
-            if backlog > max_backlog:
-                max_backlog = backlog
-        else:
-            dropped[who] += 1
-    return delivered, dropped, max_backlog
-
-
 def _sweep_numpy(
     times: np.ndarray,
     owners: np.ndarray,
@@ -222,7 +195,8 @@ def _sweep_numpy(
     pkt_bits: float,
     drain_bps: float,
 ) -> Tuple[np.ndarray, np.ndarray, float]:
-    """Vectorized Lindley sweep, bit-identical to :func:`_sweep_python`.
+    """Vectorized Lindley sweep, bit-identical to the scalar per-packet
+    loop kept as its oracle in ``tests/reference/kernels.py``.
 
     The backlog recursion ``b <- max(0, b - d_i); accept iff b + pkt <= cap``
     is linear *between* boundary events (clamps to empty and drops), so it
@@ -323,19 +297,13 @@ def simulate_fan_in(
     buffer_size: DataSize,
     duration: TimeDelta,
     rng: np.random.Generator,
-    backend: Optional[str] = None,
 ) -> FanInResult:
     """Sweep bursty sources through a shared drop-tail egress queue.
 
     All sources must use the same packet size (the common case for bulk
     data flows; mixed sizes would only blur the effect under study).
-
-    ``backend="numpy"`` runs the chunked vectorized Lindley sweep;
-    ``backend="python"`` runs the per-packet scalar reference.  Both
-    produce bit-identical results; ``backend=None`` (default) resolves
-    through :func:`repro.vectorize.default_backend`.
+    The queue runs through the chunked vectorized Lindley sweep.
     """
-    backend = resolve_backend(backend)
     if not sources:
         raise ConfigurationError("simulate_fan_in requires at least one source")
     pkt = sources[0].packet_size
@@ -364,8 +332,7 @@ def simulate_fan_in(
     # Queue sweep.  The queue drains continuously at egress_rate; each
     # packet is accepted iff the backlog (after draining to its arrival
     # time) leaves room.
-    sweep = _sweep_numpy if backend == "numpy" else _sweep_python
-    delivered, dropped, max_backlog = sweep(
+    delivered, dropped, max_backlog = _sweep_numpy(
         times, owners, len(sources),
         buffer_size.bits, pkt.bits, egress_rate.bps,
     )

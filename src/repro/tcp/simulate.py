@@ -23,27 +23,18 @@ packet-level synchronization artifacts, but it preserves the relationships
 the paper's experiments rely on (who wins, how throughput scales with flow
 count and buffering, how badly loss hurts at high RTT).
 
-Backends
---------
-The tick loop exists twice:
-
-* ``backend="numpy"`` (default) keeps all stream state as flat
-  struct-of-arrays (cwnd/ssthresh/rtt-clock/remaining-bits indexed by a
-  flow map) and advances every stream per tick with array ops.  This is
-  the production path — the many-flow paper scenarios are one to two
-  orders of magnitude faster on it.
-* ``backend="python"`` is the scalar reference: one
-  :class:`_StreamState` object per stream, a plain per-stream loop.
-
-Both backends are **bit-identical**: random variates are drawn in the
-exact per-flow, per-stream order of the scalar loop (a single
-``Generator.random(n)`` call consumes the PCG64 stream exactly like *n*
-scalar calls), per-flow reductions use sequential-accumulation numpy
-primitives (``np.bincount``), and transcendental arithmetic is routed
-through numpy's array loops on both paths (SIMD ``**`` can differ from
-libm's scalar ``pow`` in the last bit).  ``tests/test_vectorized_equivalence``
-asserts the equivalence property over random topologies, seeds and
-stream counts.
+Engines
+-------
+``backend="numpy"`` (default) is the exact tick loop.  It keeps all
+stream state as flat struct-of-arrays (cwnd/ssthresh/rtt-clock/
+remaining-bits indexed by a flow map) and advances every stream per
+tick with array ops.  It is **bit-identical** to the scalar per-stream
+loop it replaced, which lives on as the test oracle in
+``tests/reference/kernels.py`` together with the rules that keep the
+two equal; ``tests/test_vectorized_equivalence`` asserts the property
+over random topologies, seeds and stream counts.  ``"fluid"`` and
+``"hybrid"`` select the approximate :mod:`repro.fluid` engine (see
+:class:`MultiFlowSimulation`).
 """
 
 from __future__ import annotations
@@ -59,13 +50,11 @@ from ..netsim.flow import FlowSpec
 from ..netsim.link import Link
 from ..netsim.topology import PathProfile, Topology
 from ..units import DataRate, DataSize, TimeDelta, bits, seconds
-from ..vectorize import (SIM_BACKENDS, SIM_ENGINES, exact_backend,
-                         pow_elementwise, resolve_backend, resolve_engine)
+from ..vectorize import resolve_engine
 from .congestion import (CongestionControl, Reno, algorithm_by_name,
                          algorithm_key)
 
-__all__ = ["FlowProgress", "MultiFlowSimulation", "max_min_fair_allocation",
-           "SIM_BACKENDS", "SIM_ENGINES"]
+__all__ = ["FlowProgress", "MultiFlowSimulation", "max_min_fair_allocation"]
 
 
 class _ProgressiveFiller:
@@ -77,10 +66,10 @@ class _ProgressiveFiller:
     per link — is done once here and the per-tick :meth:`allocate` call
     only touches O(F + L + nnz) arrays per round.
 
-    Both backends walk the same round structure; they differ only in how
-    each round's per-flow limits and per-link capacity deltas are
-    evaluated.  Bit-identity notes: per-flow limits are plain minima
-    (order-independent and exact), so the numpy kernel evaluates them
+    The scalar reference in ``tests/reference/kernels.py`` walks the
+    same round structure with per-flow loops for each round's limits
+    and capacity deltas.  Bit-identity notes: per-flow limits are plain
+    minima (order-independent and exact), so this kernel evaluates them
     once per incidence row a caller marks as shared and gathers them by
     row; per-link deltas are accumulated in flow order via
     ``np.bincount`` over the row-major flat incidence, matching the
@@ -125,16 +114,8 @@ class _ProgressiveFiller:
         self._links_per_flow_active0 = usage.sum(axis=0).astype(np.float64)
         self._finite_caps = bool(np.isfinite(capacities).all())
 
-    def allocate(self, demands: np.ndarray,
-                 backend: str = "numpy") -> np.ndarray:
-        demands = np.asarray(demands, dtype=np.float64)
-        if demands.shape != (self.n_flows,):
-            raise ConfigurationError("max_min_fair_allocation: shape mismatch")
-        if backend == "numpy":
-            return self._allocate_numpy(demands)
-        return self._allocate_python(demands)
-
-    def _allocate_numpy(self, demands: np.ndarray) -> np.ndarray:
+    def allocate(self, demands: np.ndarray) -> np.ndarray:
+        """Max-min fair rates for a float64 ``demands`` of shape (F,)."""
         n_flows, n_links = self.n_flows, self.n_links
         flat_rows, flat_cols = self._flat_rows, self._flat_cols
         alloc = np.zeros(n_flows)
@@ -213,67 +194,11 @@ class _ProgressiveFiller:
             n_frozen += int(np.count_nonzero(to_freeze))
         return np.minimum(alloc, demands)
 
-    def _allocate_python(self, demands: np.ndarray) -> np.ndarray:
-        """Scalar reference: per-flow loops for limits and capacity deltas."""
-        usage = self.usage
-        n_flows, n_links = self.n_flows, self.n_links
-        alloc = np.zeros(n_flows)
-        frozen = demands <= 0
-        alloc[frozen] = 0.0
-        remaining_cap = self.capacities.copy()
-        for _ in range(n_flows + n_links + 1):
-            active = ~frozen
-            if not active.any():
-                break
-            active_per_link = usage[active].sum(axis=0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                share = np.where(
-                    active_per_link > 0,
-                    remaining_cap / np.maximum(active_per_link, 1),
-                    np.inf,
-                )
-            limit = np.full(n_flows, np.inf)
-            for f in range(n_flows):
-                links = usage[f]
-                if links.any():
-                    limit[f] = share[links].min()
-            headroom = demands - alloc
-            satisfied = active & (headroom <= limit + 1e-9)
-            if satisfied.any():
-                grant = headroom[satisfied]
-                alloc[satisfied] += grant
-                released = np.zeros(n_links)
-                for f, g in zip(np.nonzero(satisfied)[0], grant):
-                    for link in np.nonzero(usage[f])[0]:
-                        released[link] += g
-                remaining_cap = remaining_cap - released
-                frozen |= satisfied
-                continue
-            finite_links = share[active_per_link > 0]
-            if finite_links.size == 0 or not np.isfinite(finite_links).any():
-                alloc[active] = demands[active]
-                break
-            min_share = finite_links[np.isfinite(finite_links)].min()
-            bottleneck_links = ((active_per_link > 0)
-                                & (share <= min_share + 1e-9))
-            to_freeze = active & usage[:, bottleneck_links].any(axis=1)
-            taken = np.zeros(n_links)
-            for f in np.nonzero(to_freeze)[0]:
-                alloc[f] += limit[f]
-                for link in np.nonzero(usage[f])[0]:
-                    taken[link] += limit[f]
-            remaining_cap = remaining_cap - taken
-            remaining_cap = np.maximum(remaining_cap, 0.0)
-            frozen |= to_freeze
-        return np.minimum(alloc, demands)
-
 
 def max_min_fair_allocation(
     demands: np.ndarray,
     usage: np.ndarray,
     capacities: np.ndarray,
-    *,
-    backend: Optional[str] = None,
 ) -> np.ndarray:
     """Max-min fair rates for flows over shared links.
 
@@ -285,11 +210,6 @@ def max_min_fair_allocation(
         Shape (F, L) boolean — flow f crosses link l.
     capacities:
         Shape (L,) — link capacities (bps).
-    backend:
-        ``"numpy"`` computes each round's per-flow limits and capacity
-        releases with masked matrix ops; ``"python"`` is the per-flow
-        scalar reference.  Both are bit-identical.  None (default)
-        resolves through :func:`repro.vectorize.default_backend`.
 
     Returns
     -------
@@ -300,8 +220,11 @@ def max_min_fair_allocation(
     tick loop) hold a :class:`_ProgressiveFiller` instead, which hoists
     the structural precomputation out of the per-tick call.
     """
-    backend = resolve_backend(backend)
-    return _ProgressiveFiller(usage, capacities).allocate(demands, backend)
+    filler = _ProgressiveFiller(usage, capacities)
+    demands = np.asarray(demands, dtype=np.float64)
+    if demands.shape != (filler.n_flows,):
+        raise ConfigurationError("max_min_fair_allocation: shape mismatch")
+    return filler.allocate(demands)
 
 
 @dataclass(slots=True)
@@ -365,20 +288,19 @@ class MultiFlowSimulation:
         Virtual-queue depth per link, in units of that link's
         capacity x 100 ms (approximating "one WAN RTT of buffer").
     backend:
-        ``"numpy"`` — vectorized struct-of-arrays tick loop;
-        ``"python"`` — the scalar per-stream reference loop.  Both
-        produce bit-identical results (see the module docstring).
+        ``"numpy"`` — the exact struct-of-arrays tick loop (see the
+        module docstring).
         ``"fluid"`` — the approximate :mod:`repro.fluid` mean-field
         engine (flow-class population dynamics; scales to 100k+ flows).
         ``"hybrid"`` — dispatch on population: below ``switchover``
-        total streams the exact kernels run (byte-for-byte identical to
-        selecting them directly), at or above it the fluid engine does.
+        total streams the numpy kernel runs (byte-for-byte identical to
+        selecting it directly), at or above it the fluid engine does.
         None (default) resolves through
-        :func:`repro.vectorize.default_backend`.
+        :func:`repro.vectorize.resolve_engine`.
     switchover:
         Stream-population threshold for ``backend="hybrid"``; defaults
         to :data:`repro.fluid.DEFAULT_SWITCHOVER`.  Ignored by the
-        other backends.
+        other engines.
     """
 
     def __init__(
@@ -404,10 +326,9 @@ class MultiFlowSimulation:
             threshold = (DEFAULT_SWITCHOVER if switchover is None
                          else int(switchover))
             population = sum(s.parallel_streams for s in specs)
-            # Below the threshold, fall to the *exact* tier — honoring a
-            # scalar-reference default so hybrid stays bit-identical to
-            # whichever exact backend the caller would otherwise get.
-            engine = "fluid" if population >= threshold else exact_backend(None)
+            # Below the threshold, fall to the exact kernel, so hybrid
+            # stays bit-identical to selecting "numpy" directly.
+            engine = "fluid" if population >= threshold else "numpy"
         self.backend = engine
         self.topology = topology
         self._rng = rng
@@ -552,20 +473,14 @@ class MultiFlowSimulation:
         path_of = self._path_of
         rtts, mss_bits = path_rtts[path_of], path_mss[path_of]
         rwnd_pkts, loss_p = path_rwnd[path_of], path_loss[path_of]
-        if self.backend == "numpy":
-            now = self._run_numpy(
-                until, max_ticks, sample_interval, rtts=rtts, dt=dt,
-                horizon=horizon, mss_bits=mss_bits, rwnd_pkts=rwnd_pkts,
-                loss_p=loss_p, rate_caps=rate_caps)
-        else:
-            now = self._run_python(
-                until, max_ticks, sample_interval, rtts=rtts, dt=dt,
-                horizon=horizon, mss_bits=mss_bits, rwnd_pkts=rwnd_pkts,
-                loss_p=loss_p, rate_caps=rate_caps)
+        now = self._run_numpy(
+            until, max_ticks, sample_interval, rtts=rtts, dt=dt,
+            horizon=horizon, mss_bits=mss_bits, rwnd_pkts=rwnd_pkts,
+            loss_p=loss_p, rate_caps=rate_caps)
 
         # A flow's delivered total is the sum of its streams' counters,
-        # accumulated in stream order (both backends share this
-        # association; `np.bincount` in the vectorized path accumulates
+        # accumulated in stream order (the scalar reference shares this
+        # association; `np.bincount` in the kernel accumulates
         # sequentially exactly like this loop).
         for label, streams in zip(self._labels, self._streams):
             prog = self.progress[label]
@@ -592,7 +507,7 @@ class MultiFlowSimulation:
 
         One-shot (each call re-simulates from t=0) and approximate:
         delivered totals and finish times land in ``progress`` like the
-        exact backends', but per-flow loss counts and time series are
+        exact kernel's, but per-flow loss counts and time series are
         not produced — class-level aggregates live on ``fluid_result``.
         ``rtts``, ``mss_bits``, ``rwnd_pkts`` and ``loss_p`` are per
         distinct path; ``rate_caps`` is per flow.
@@ -630,145 +545,6 @@ class MultiFlowSimulation:
                 if math.isfinite(finish):
                     prog.finish_time = seconds(finish)
         return result.now_s
-
-    # -- scalar reference loop -------------------------------------------------
-    def _run_python(
-        self,
-        until: Optional[TimeDelta],
-        max_ticks: int,
-        sample_interval: TimeDelta,
-        *,
-        rtts: np.ndarray,
-        dt: float,
-        horizon: float,
-        mss_bits: np.ndarray,
-        rwnd_pkts: np.ndarray,
-        loss_p: np.ndarray,
-        rate_caps: np.ndarray,
-    ) -> float:
-        now = 0.0
-        next_sample = 0.0
-        rng = self._rng
-        n_flows = len(self._specs)
-
-        for tick in range(max_ticks):
-            if now >= horizon:
-                break
-            active_any = False
-            demands = np.zeros(n_flows)
-            for f, (spec, streams) in enumerate(zip(self._specs, self._streams)):
-                prog = self.progress[self._labels[f]]
-                if prog.done or now < spec.start.s:
-                    continue
-                prog.started = True
-                active_any = True
-                demand = sum(
-                    min(st.cwnd, rwnd_pkts[f]) * mss_bits[f] / rtts[f]
-                    for st in streams
-                    if st.remaining_bits is None or st.remaining_bits > 0
-                )
-                demands[f] = min(demand, rate_caps[f])
-            if not active_any:
-                # Flows scheduled in the future? Jump the clock to the next
-                # start rather than ending the simulation early.
-                pending = [
-                    spec.start.s
-                    for label, spec in zip(self._labels, self._specs)
-                    if not self.progress[label].done and spec.start.s > now
-                ]
-                if pending:
-                    now = min(min(pending), horizon)
-                    continue
-                if until is None:
-                    break
-                now = min(horizon, now + dt)
-                continue
-
-            alloc = self._filler.allocate(demands, backend="python")
-
-            overflowing = self._advance_queues(demands, dt)
-
-            # Loss events: congestion overflow + random path loss.
-            for f in range(n_flows):
-                label = self._labels[f]
-                prog = self.progress[label]
-                if prog.done or demands[f] <= 0:
-                    continue
-                streams = self._streams[f]
-                live = [st for st in streams
-                        if st.remaining_bits is None or st.remaining_bits > 0]
-                if not live:
-                    continue
-                rate_per_stream = alloc[f] / len(live)
-                congested = bool((self._usage[f] & overflowing).any())
-                for st in live:
-                    got = rate_per_stream * dt
-                    if st.remaining_bits is not None:
-                        got = min(got, st.remaining_bits)
-                        st.remaining_bits -= got
-                    st.delivered_bits += got
-                    if congested and rng is not None:
-                        # Probability scaled by the flow's share of overload.
-                        if rng.random() < min(1.0, dt / rtts[f]):
-                            st.loss_flag = True
-                    elif congested:
-                        st.loss_flag = True
-                    if loss_p[f] > 0:
-                        pkts = got / mss_bits[f]
-                        p_evt = 1.0 - pow_elementwise(1.0 - loss_p[f], pkts)
-                        if rng.random() < p_evt:
-                            st.loss_flag = True
-
-                    # Per-RTT congestion-control update.
-                    st.rtt_clock += dt
-                    st.time_since_loss += dt
-                    if st.rtt_clock >= rtts[f]:
-                        st.rtt_clock = 0.0
-                        algo = self._algorithms[self._algorithm_of[f]]
-                        if st.loss_flag:
-                            st.loss_flag = False
-                            prog.loss_events += 1
-                            # Reduce from what was actually in flight
-                            # (RFC 2861), not an inflated cwnd.
-                            inflight = min(st.cwnd, rwnd_pkts[f])
-                            st.cwnd = float(algo.on_loss_batch(
-                                np.array([inflight]),
-                                np.array([rtts[f]]),
-                                np.array([rtts[f]]))[0])
-                            st.ssthresh = st.cwnd
-                            st.time_since_loss = 0.0
-                        elif st.cwnd < st.ssthresh:
-                            st.cwnd = min(st.cwnd * algo.slow_start_factor,
-                                          rwnd_pkts[f] * 1.25)
-                        elif st.cwnd <= rwnd_pkts[f]:
-                            grow = float(algo.increase_batch(
-                                np.array([st.cwnd]),
-                                np.array([st.time_since_loss]),
-                                np.array([rtts[f]]))[0])
-                            st.cwnd = min(st.cwnd + grow,
-                                          rwnd_pkts[f] * 1.25)
-
-                if all(st.remaining_bits is not None and st.remaining_bits <= 0
-                       for st in streams):
-                    prog.finish_time = seconds(now + dt)
-                    # Final-tick sample: close the series at the finish
-                    # time so the last partial interval is not silently
-                    # extrapolated from the previous sample boundary.
-                    if prog.started:
-                        prog.time_series.append((now + dt, float(alloc[f])))
-
-            now += dt
-            if now >= next_sample:
-                next_sample = now + sample_interval.s
-                for f, label in enumerate(self._labels):
-                    prog = self.progress[label]
-                    if prog.started and not prog.done:
-                        prog.time_series.append((now, float(alloc[f])))
-        else:
-            raise SimulationError(
-                f"multi-flow simulation did not settle within {max_ticks} ticks"
-            )
-        return now
 
     # -- vectorized loop -------------------------------------------------------
     def _run_numpy(
@@ -817,7 +593,7 @@ class MultiFlowSimulation:
         cong_thresh_s = np.minimum(1.0, dt / rtt_s)
 
         # Per-flow bookkeeping mirrored from/into FlowProgress so repeated
-        # run() calls resume exactly like the scalar backend.
+        # run() calls resume exactly like the scalar reference.
         progresses = [self.progress[label] for label in self._labels]
         start_f = np.array([s.start.s for s in self._specs])
         done_f = np.array([p.done for p in progresses], dtype=bool)
@@ -842,7 +618,7 @@ class MultiFlowSimulation:
         now = 0.0
         next_sample = 0.0
         sample_s = sample_interval.s
-        allocate = self._filler._allocate_numpy
+        allocate = self._filler.allocate
         any_loss = bool(has_loss_s.any())
         single_algo = groups[0][0] if len(groups) == 1 else None
         n_finished_prev = int(np.count_nonzero(remaining <= 0.0))
@@ -996,7 +772,9 @@ class MultiFlowSimulation:
                         for f in np.nonzero(newly_done)[0]:
                             prog = progresses[f]
                             prog.finish_time = seconds(now + dt)
-                            # Final-tick sample (see _run_python).
+                            # Final-tick sample: close the series at
+                            # the finish time so the last partial
+                            # interval is not extrapolated.
                             prog.time_series.append((now + dt, float(alloc[f])))
 
             now += dt
@@ -1026,7 +804,7 @@ class MultiFlowSimulation:
 
     def _advance_queues(self, demands: np.ndarray, dt: float) -> np.ndarray:
         """Advance the per-link virtual queues one tick; return the
-        boolean overflow mask.  Shared verbatim by both backends.
+        boolean overflow mask.  The scalar reference shares it verbatim.
 
         Growing links add ``overload * dt`` and draining links subtract
         it with a clamp at empty; since queues are non-negative, both

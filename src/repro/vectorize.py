@@ -1,36 +1,19 @@
-"""Shared plumbing for the dual-backend vectorized kernels.
+"""Engine selection for the simulation kernels.
 
-The three hot paths (the multi-flow fluid tick loop, the fan-in Lindley
-sweep, and max-min fair allocation) each ship a vectorized numpy kernel
-and a scalar Python reference selected with ``backend="numpy"`` /
-``backend="python"``.  The two implementations of each kernel are
-bit-identical; this module holds the tiny pieces they share so the
-contract is stated once.
+The three hot paths (the multi-flow tick loop, the fan-in Lindley sweep,
+and max-min fair allocation) each ship one exact numpy kernel.  The
+scalar loops those kernels replaced are the test oracle in
+``tests/reference/kernels.py``, which also states the rules that keep
+each kernel bit-identical to its reference.
 
-Rules the kernels follow to stay bit-identical:
-
-* per-group reductions use sequential-accumulation primitives
-  (``np.cumsum`` / ``np.bincount``), which numpy evaluates in array
-  order exactly like the scalar loop;
-* random variates are drawn in the scalar loop's order — one
-  ``Generator.random(n)`` call consumes the PCG64 stream identically to
-  *n* scalar ``random()`` calls;
-* transcendental arithmetic (``**``) is routed through numpy's array
-  loops on *both* paths, because numpy's SIMD ``pow`` may differ from
-  libm's scalar ``pow`` in the final bit (see :func:`pow_elementwise`).
-
-Engine tiers
-------------
-:data:`SIM_BACKENDS` is the *bit-identical* tier: same numbers, different
-implementation.  The multi-flow simulator additionally understands a
-second, *approximate* tier (:data:`SIM_ENGINES` adds ``"fluid"`` and
-``"hybrid"``): the :mod:`repro.fluid` mean-field engine trades
-per-flow congestion state for flow-class population dynamics, so its
-results carry an accuracy contract (delivered-bytes ratio within 1% at
-matched horizon) rather than a bit-identity contract.  Kernels that only
-exist in the exact tier (fan-in, max-min) map an engine-tier default to
-``"numpy"`` via :func:`exact_backend` — selecting the fluid engine
-process-wide must never change *their* numbers.
+The multi-flow simulator additionally understands an *approximate*
+tier: ``"fluid"`` selects the :mod:`repro.fluid` mean-field engine,
+which trades per-flow congestion state for flow-class population
+dynamics, so its results carry an accuracy contract (delivered-bytes
+ratio within 1% at matched horizon) rather than a bit-identity
+contract; ``"hybrid"`` picks between the two by stream population.
+The fan-in sweep and max-min allocation have only the exact kernel, so
+selecting the fluid engine process-wide never changes *their* numbers.
 """
 
 from __future__ import annotations
@@ -39,48 +22,31 @@ import contextlib
 import os
 from typing import Iterator, Optional
 
-import numpy as np
-
 from .errors import ConfigurationError
 
-__all__ = [
-    "SIM_BACKENDS",
-    "SIM_ENGINES",
-    "check_backend",
-    "check_engine",
-    "default_backend",
-    "exact_backend",
-    "pow_elementwise",
-    "resolve_backend",
-    "resolve_engine",
-    "set_default_backend",
-    "use_backend",
-]
-
-#: Bit-identical kernel implementations (same results, different code).
-SIM_BACKENDS = ("numpy", "python")
+__all__ = ["SIM_ENGINES", "resolve_engine", "use_backend"]
 
 #: Everything a simulation ``backend=`` argument may name: the exact
-#: tier plus the approximate mean-field tier ("fluid") and the
+#: numpy kernel, the approximate mean-field engine ("fluid") and the
 #: population-threshold dispatcher ("hybrid").
-SIM_ENGINES = SIM_BACKENDS + ("fluid", "hybrid")
+SIM_ENGINES = ("numpy", "fluid", "hybrid")
 
-#: Process-wide default set by :func:`set_default_backend`; None means
-#: "consult the REPRO_BACKEND environment variable, else numpy".
+#: Process-wide default set by :func:`use_backend`; None means "consult
+#: the REPRO_BACKEND environment variable, else numpy".
 _DEFAULT_BACKEND: Optional[str] = None
 
 
-def check_backend(backend: str) -> str:
-    """Validate an exact-tier ``backend=`` argument, returning it unchanged."""
-    if backend not in SIM_BACKENDS:
-        known = ", ".join(SIM_BACKENDS)
-        raise ConfigurationError(
-            f"unknown simulation backend {backend!r}; known: {known}")
-    return backend
+def resolve_engine(backend: Optional[str] = None) -> str:
+    """A validated engine name; None resolves the process default.
 
-
-def check_engine(backend: str) -> str:
-    """Validate a ``backend=`` argument against the full engine tier."""
+    Resolution order for None: :func:`use_backend`, then the
+    ``REPRO_BACKEND`` environment variable, then ``"numpy"``.  An
+    unknown name raises :class:`~repro.errors.ConfigurationError`.
+    """
+    if backend is None:
+        if _DEFAULT_BACKEND is not None:
+            return _DEFAULT_BACKEND
+        backend = os.environ.get("REPRO_BACKEND", "") or "numpy"
     if backend not in SIM_ENGINES:
         known = ", ".join(SIM_ENGINES)
         raise ConfigurationError(
@@ -88,82 +54,18 @@ def check_engine(backend: str) -> str:
     return backend
 
 
-def default_backend() -> str:
-    """The backend used when a kernel is called with ``backend=None``.
-
-    Resolution order: :func:`set_default_backend`, then the
-    ``REPRO_BACKEND`` environment variable, then ``"numpy"``.  May name
-    any :data:`SIM_ENGINES` member; exact-tier kernels downgrade an
-    engine-tier default through :func:`exact_backend`.
-    """
-    if _DEFAULT_BACKEND is not None:
-        return _DEFAULT_BACKEND
-    env = os.environ.get("REPRO_BACKEND", "")
-    return check_engine(env) if env else "numpy"
-
-
-def set_default_backend(backend: Optional[str]) -> Optional[str]:
-    """Set the process default (None restores env/numpy resolution).
-
-    Returns the previous override so callers can restore it.
-    """
-    global _DEFAULT_BACKEND
-    previous = _DEFAULT_BACKEND
-    _DEFAULT_BACKEND = check_engine(backend) if backend is not None else None
-    return previous
-
-
-def exact_backend(backend: Optional[str]) -> str:
-    """Collapse an engine name onto the bit-identical tier.
-
-    ``"python"`` stays ``"python"``; everything else — ``"numpy"``,
-    ``"fluid"``, ``"hybrid"``, or None (resolve the default first) —
-    becomes ``"numpy"``.  Used by the exact-only kernels (fan-in,
-    max-min) and by the hybrid dispatcher below its switchover
-    threshold, where the scalar reference must stay selectable but an
-    approximate engine name cannot leak through.
-    """
-    name = check_engine(backend) if backend is not None else default_backend()
-    return name if name in SIM_BACKENDS else "numpy"
-
-
-def resolve_backend(backend: Optional[str]) -> str:
-    """A concrete *exact-tier* backend from an optional argument.
-
-    An explicit argument must belong to the exact tier; a None default
-    that resolves to an engine-tier name collapses to ``"numpy"``.
-    """
-    if backend is not None:
-        return check_backend(backend)
-    return exact_backend(None)
-
-
-def resolve_engine(backend: Optional[str]) -> str:
-    """A concrete engine name (any :data:`SIM_ENGINES` member)."""
-    return check_engine(backend) if backend is not None \
-        else default_backend()
-
-
 @contextlib.contextmanager
 def use_backend(backend: str) -> Iterator[str]:
     """Temporarily make ``backend`` the process default::
 
-        with use_backend("python"):
-            run_experiment(spec)       # every kernel takes the scalar path
+        with use_backend("fluid"):
+            run_experiment(spec)   # every simulation without backend=
+                                   # takes the fluid engine
     """
-    previous = set_default_backend(backend)
+    global _DEFAULT_BACKEND
+    previous = _DEFAULT_BACKEND
+    _DEFAULT_BACKEND = resolve_engine(backend)
     try:
-        yield check_engine(backend)
+        yield _DEFAULT_BACKEND
     finally:
-        set_default_backend(previous)
-
-
-def pow_elementwise(base: float, exponent: float) -> float:
-    """``base ** exponent`` evaluated through numpy's array power loop.
-
-    numpy's vectorized ``**`` may differ from libm's scalar ``pow`` in
-    the final bit; scalar reference backends route their powers through
-    the same array loop as the vectorized kernels so the two stay
-    bit-identical.
-    """
-    return float(np.power(np.array([base]), np.array([exponent]))[0])
+        _DEFAULT_BACKEND = previous

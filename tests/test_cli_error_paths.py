@@ -337,3 +337,64 @@ class TestExitCodeConvention:
             rc, _, err = cli("jobs")
         assert rc == EXIT_BAD_INPUT
         assert "bad service URL" in err and "Traceback" not in err
+
+
+class TestBenchFlags:
+    """``repro bench`` checks every flag before it times anything: a bad
+    output path, tolerance, baseline or scenario list costs nothing,
+    not a whole suite run and then a traceback."""
+
+    @pytest.fixture(autouse=True)
+    def no_timing(self, monkeypatch):
+        import repro.bench
+
+        def must_not_time(*args, **kwargs):
+            raise AssertionError("timed a scenario despite a bad flag")
+
+        monkeypatch.setattr(repro.bench, "run_suite", must_not_time)
+        monkeypatch.setattr(repro.bench, "run_scenario", must_not_time)
+
+    @pytest.fixture
+    def full_baseline(self, tmp_path):
+        import repro.bench
+
+        path = tmp_path / "full.json"
+        repro.bench.write_json(
+            {"schema": repro.bench.SCHEMA_VERSION, "quick": False,
+             "calibration": 1.0, "results": {"maxmin.numpy": 1.0}},
+            str(path))
+        return path
+
+    @pytest.mark.parametrize("argv", [
+        ("--out", "{blocker}/x.json"),
+        ("--write-baseline", "{blocker}/x.json"),
+        ("--out", "{tmp}"),
+        ("--tolerance", "-1", "--compare", "{baseline}"),
+        ("--compare", "{tmp}/missing.json"),
+        ("--quick", "--compare", "{baseline}"),
+        ("--repeats", "0"),
+        ("--repeats", "-5"),
+        ("--only", " , "),
+        ("--only", "multiflow.python"),
+    ], ids=["out-under-file", "baseline-under-file", "out-is-dir",
+            "negative-tolerance", "unreadable-compare", "quick-vs-full",
+            "zero-repeats", "negative-repeats", "empty-only",
+            "removed-scenario"])
+    def test_bad_flag_is_two_before_timing(self, cli, tmp_path,
+                                           full_baseline, argv):
+        blocker = tmp_path / "a-file"
+        blocker.write_text("not a directory")
+        rc, out, err = cli("bench", *(
+            a.format(blocker=blocker, tmp=tmp_path, baseline=full_baseline)
+            for a in argv))
+        assert rc == EXIT_BAD_INPUT
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "running bench suite" not in out
+
+
+def test_removed_python_engine_is_two(cli, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(SPECS / "fig1_tcp_loss_quick.json"),
+              "--backend", "python"])
+    assert exc.value.code == EXIT_BAD_INPUT
+    assert "invalid choice: 'python'" in capsys.readouterr().err

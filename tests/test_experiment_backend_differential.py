@@ -1,20 +1,21 @@
 """Differential test: every committed spec produces digest-identical
-manifests under the scalar-python and numpy kernel backends.
+manifests on the numpy kernels and on their scalar references.
 
-This is the whole-experiment statement of the bit-identical-backends
-contract in :mod:`repro.vectorize` — not just "the kernels agree on a
+This is the whole-experiment statement of the bit-identity contract in
+``tests/reference/kernels.py`` — not just "the kernels agree on a
 random input", but "the entire pipeline (scenario runs, sweeps, fault
 campaigns, oracle verdicts, report digests) is invariant to which
 implementation computes it".
 
-The cache is deliberately disabled: the backend is *not* part of the
-cache key (the contract makes it irrelevant), so a warm cache would
-serve the first backend's results to the second and mask any
+The cache is deliberately disabled: which implementation ran is *not*
+part of the cache key (the contract makes it irrelevant), so a warm
+cache would serve the first run's results to the second and mask any
 divergence.  Both runs here must actually evaluate.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import pathlib
@@ -22,7 +23,7 @@ import pathlib
 import pytest
 
 from repro.experiment import ExperimentSpec, RunContext, run_experiment
-from repro.vectorize import use_backend
+from tests.reference.kernels import scalar_kernels
 
 SPECS = pathlib.Path(__file__).parent.parent / "specs"
 
@@ -32,8 +33,8 @@ SPEC_FILES = sorted(p.name for p in SPECS.glob("*.json")
                     if p.name != "golden.json")
 
 
-def _run(spec: ExperimentSpec, backend: str):
-    with use_backend(backend):
+def _run(spec: ExperimentSpec, kernels=contextlib.nullcontext):
+    with kernels():
         return run_experiment(spec, RunContext(workers=1, cache=None),
                               persist=False)
 
@@ -49,27 +50,26 @@ def test_backends_agree_on_committed_spec(name):
         pytest.skip(f"{name} is slow; set REPRO_SLOW_TESTS=1 to run")
     spec = ExperimentSpec.from_file(SPECS / name)
 
-    numpy_result = _run(spec, "numpy")
-    python_result = _run(spec, "python")
+    numpy_result = _run(spec)
+    scalar_result = _run(spec, scalar_kernels)
 
     assert numpy_result.manifest.spec_digest \
-        == python_result.manifest.spec_digest
+        == scalar_result.manifest.spec_digest
     assert numpy_result.manifest.result_digest \
-        == python_result.manifest.result_digest, \
-        f"backend divergence on {name}"
-    assert numpy_result.payload == python_result.payload
+        == scalar_result.manifest.result_digest, \
+        f"kernel/reference divergence on {name}"
+    assert numpy_result.payload == scalar_result.payload
 
 
 def test_backend_differential_not_masked_by_cache(tmp_path):
-    """Sanity check on the methodology: with a shared cache the second
-    backend would evaluate nothing, proving cache=None is load-bearing."""
+    """Sanity check on the methodology: with a shared cache the
+    reference run would evaluate nothing, proving cache=None is
+    load-bearing."""
     spec = ExperimentSpec.from_file(SPECS / "linecard_softfail.json")
     cache = tmp_path / "cache"
-    with use_backend("numpy"):
-        run_experiment(spec, RunContext(workers=1, cache=cache),
-                       persist=False)
+    run_experiment(spec, RunContext(workers=1, cache=cache), persist=False)
     ctx = RunContext(workers=1, cache=cache)
-    with use_backend("python"):
+    with scalar_kernels():
         run_experiment(spec, ctx, persist=False)
     assert ctx.stats().get("exec.runner.evaluated", 0) == 0
 

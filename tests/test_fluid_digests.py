@@ -8,7 +8,8 @@ output the engine produces — per-flow delivered bits, finish times and
 ``started``, plus the result's ``class_delivered_bits``,
 ``queues_bits``, ``ticks``, ``now_s`` and ``samples``.  One exact-kernel
 matrix pins the shared set-up path (per-path parameter arrays, the
-allocator) on the numpy backend as well.
+allocator) on the numpy backend as well, and the last three tests pin
+the outputs of the three exact hot-path kernels.
 
 The digests were recorded with the dict-based class builder and the
 per-flow birth loop, before those were vectorized; a mismatch means the
@@ -138,3 +139,69 @@ def test_traffic_matrix_exact_digest():
     progress = sim.run(sample_interval=seconds(0.1))
     assert _digest(sim, progress) == (
         "49c4a42f581f58b3f2bd7c068ba5fe35bec8cc1a9a01f43b11a8acf8e5aa9920")
+
+
+# -- exact-kernel pins --------------------------------------------------------
+#
+# One case per exact hot path, each on the inputs ``repro bench`` times in
+# quick mode or in a regime that exercises the kernel's slow branch.  The
+# pins hold the kernels to fixed bytes; the equivalence suites hold the
+# scalar references in ``tests/reference`` to the kernels, so a reference
+# that drifted together with its kernel would still fail here.
+
+def _exact_chain_digest(sim: MultiFlowSimulation, progress) -> str:
+    h = hashlib.sha256()
+    progs = list(progress.values())
+    h.update(np.array([p.delivered.bits for p in progs]).tobytes())
+    h.update(np.array([p.loss_events for p in progs],
+                      dtype=np.int64).tobytes())
+    for p in progs:
+        h.update(np.array(p.time_series, dtype=np.float64).tobytes())
+    h.update(np.asarray(sim._queues, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+def test_bench_chain_exact_digest():
+    """The quick 8-flow x 4-stream lossy chain that ``repro bench`` times."""
+    from repro.bench import _chain_simulation
+
+    sim, horizon = _chain_simulation("numpy", quick=True)
+    progress = sim.run(until=horizon)
+    assert sum(p.loss_events for p in progress.values()) > 0
+    assert _exact_chain_digest(sim, progress) == (
+        "4b345b03c0e73d5ed264c2a5209af594f70d42599012c927b05ac97bf106882a")
+
+
+def test_fan_in_drop_regime_digest():
+    """An 8-source fan-in sweep whose drops take the scalar replay branch."""
+    from repro.netsim.packetsim import BurstySource, simulate_fan_in
+    from repro.units import KB
+
+    sources = [BurstySource(name=f"s{i}", line_rate=Gbps(1),
+                            mean_rate=Mbps(600), burst_size=KB(128))
+               for i in range(8)]
+    result = simulate_fan_in(sources, egress_rate=Gbps(4.5),
+                             buffer_size=KB(512), duration=seconds(0.5),
+                             rng=np.random.default_rng(7))
+    assert result.total_dropped > 0
+    h = hashlib.sha256()
+    for stats in result.per_source.values():
+        h.update(struct.pack("<qqq", stats.offered_packets,
+                             stats.delivered_packets, stats.dropped_packets))
+    h.update(struct.pack("<d", result.max_queue_occupancy.bits))
+    assert h.hexdigest() == (
+        "60c9c90dfa3da59a809febfbc5d6e17a48b7f33534c3136005fed4d2976a348a")
+
+
+def test_max_min_allocation_digest():
+    """A 200-flow x 60-link max-min problem (the full ``maxmin`` bench)."""
+    from repro.tcp.simulate import max_min_fair_allocation
+
+    rng = np.random.default_rng(11)
+    usage = rng.random((200, 60)) < 0.15
+    usage[:, 0] = True
+    demands = rng.random(200) * 10.0
+    capacities = rng.random(60) * 40.0 + 1.0
+    rates = max_min_fair_allocation(demands, usage, capacities)
+    assert hashlib.sha256(rates.tobytes()).hexdigest() == (
+        "79813c264af9b0e5f5f633316134e62b0c300ef66239bb5a1515b9f73abb83dd")

@@ -164,17 +164,17 @@ def test_stepper_monotone_in_horizon():
        size_mb=st.floats(min_value=1.0, max_value=20.0))
 def test_hybrid_below_switchover_bit_identical_to_python(
         n_flows, streams, size_mb):
-    """Below the threshold, hybrid IS the exact tier: byte-identical
-    delivered totals, loss counts and time series vs backend="python"."""
+    """Below the threshold, hybrid IS the exact kernel: byte-identical
+    delivered totals, loss counts and time series vs backend="numpy"."""
     outs = {}
-    for backend in ("python", "hybrid"):
+    for backend in ("numpy", "hybrid"):
         topo = chain_topology()
         sim = MultiFlowSimulation(
             topo, make_specs(n_flows, streams, size_mb, 0.1),
             backend=backend)
-        assert sim.backend in ("python", "numpy")
+        assert sim.backend == "numpy"
         outs[backend] = sim.run(until=seconds(1.5))
-    a, b = outs["python"], outs["hybrid"]
+    a, b = outs["numpy"], outs["hybrid"]
     assert set(a) == set(b)
     for label in a:
         assert a[label].delivered.bits == b[label].delivered.bits
@@ -227,9 +227,10 @@ def test_hybrid_replays_golden_digests_byte_identically():
 # -- configuration surface ----------------------------------------------------
 
 def test_run_context_rejects_unknown_backend():
-    with pytest.raises(ConfigurationError):
-        from repro.experiment import RunContext
-        RunContext(backend="cuda")
+    from repro.experiment import RunContext
+    for name in ("cuda", "python"):
+        with pytest.raises(ConfigurationError):
+            RunContext(backend=name)
 
 
 def test_run_context_from_env_honors_repro_backend(monkeypatch):
@@ -245,11 +246,12 @@ def test_run_context_from_env_honors_repro_backend(monkeypatch):
 
 def test_cli_invalid_repro_backend_is_exit_2(monkeypatch, capsys):
     from repro import cli
-    monkeypatch.setenv("REPRO_BACKEND", "not-a-backend")
-    code = cli.main(["designs"])
-    assert code == cli.EXIT_BAD_INPUT
-    err = capsys.readouterr().err
-    assert "unknown simulation backend" in err
+    for name in ("not-a-backend", "python"):
+        monkeypatch.setenv("REPRO_BACKEND", name)
+        code = cli.main(["designs"])
+        assert code == cli.EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert "unknown simulation backend" in err
 
 
 def test_cli_valid_repro_backend_still_runs(monkeypatch):
@@ -266,8 +268,8 @@ def test_manifest_records_resolved_backend(tmp_path):
     root = pathlib.Path(__file__).parent.parent
     spec = ExperimentSpec.from_file(str(root / "specs" /
                                         "fig1_tcp_loss_quick.json"))
-    ctx = RunContext(backend="python", artifacts=tmp_path)
+    ctx = RunContext(backend="numpy", artifacts=tmp_path)
     result = run_experiment(spec, ctx)
-    assert result.manifest.backend == "python"
+    assert result.manifest.backend == "numpy"
     on_disk = json.loads((tmp_path / "manifest.json").read_text())
-    assert on_disk["run"]["backend"] == "python"
+    assert on_disk["run"]["backend"] == "numpy"

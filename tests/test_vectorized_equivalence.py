@@ -1,16 +1,19 @@
 """Bit-identity of the vectorized kernels against the scalar references.
 
 The three hot paths (multi-flow fluid loop, fan-in Lindley sweep,
-max-min fair allocation) each ship a numpy kernel and a scalar Python
-reference behind ``backend=``.  The contract is *bit*-identity, not
-approximate equality: goldens were recorded against the scalar code, so
-any last-bit divergence in the vectorized path would silently shift
-reproduced numbers.  These property tests drive both backends over
-randomized topologies, flow mixes, seeds, and loss regimes and compare
-raw float bit patterns (``tobytes()`` / exact ``==``).
+max-min fair allocation) each ship one numpy kernel; the scalar loops
+they replaced are the oracle in ``tests/reference/kernels.py``.  The
+contract is *bit*-identity, not approximate equality: goldens were
+recorded against the scalar code, so any last-bit divergence in the
+vectorized path would silently shift reproduced numbers.  These
+property tests run each kernel plain and under ``scalar_kernels()``
+over randomized topologies, flow mixes, seeds, and loss regimes and
+compare raw float bit patterns (``tobytes()`` / exact ``==``).
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 import pytest
@@ -19,21 +22,38 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import ConfigurationError
 from repro.netsim import Link, Topology
 from repro.netsim.flow import FlowSpec
+from repro.netsim import packetsim
 from repro.netsim.packetsim import BurstySource, simulate_fan_in
 from repro.tcp.congestion import Cubic, HTcp, Reno
 from repro.tcp.simulate import (
     MultiFlowSimulation,
-    SIM_BACKENDS,
     _ProgressiveFiller,
     max_min_fair_allocation,
 )
 from repro.units import Gbps, KB, MB, Mbps, bytes_, ms, seconds
+from tests.reference import kernels
+from tests.reference.kernels import scalar_kernels
 
-# Property tests run both backends per example; keep example counts
-# modest so tier-1 stays fast.  deadline=None: the simulation examples
-# legitimately take tens of milliseconds each.
+# Property tests run the kernel and its reference per example; keep
+# example counts modest so tier-1 stays fast.  deadline=None: the
+# simulation examples legitimately take tens of milliseconds each.
 SETTINGS = settings(max_examples=25, deadline=None)
 SIM_SETTINGS = settings(max_examples=12, deadline=None)
+
+
+def test_scalar_kernels_swaps_and_restores():
+    """The helper every comparison here relies on really swaps all three
+    kernels for the references, and puts the kernels back."""
+    swapped = (
+        (MultiFlowSimulation, "_run_numpy", kernels.run_multiflow),
+        (_ProgressiveFiller, "allocate", kernels.allocate),
+        (packetsim, "_sweep_numpy", kernels.sweep),
+    )
+    originals = [getattr(owner, name) for owner, name, _ in swapped]
+    with scalar_kernels():
+        for owner, name, reference in swapped:
+            assert getattr(owner, name) is reference
+    assert [getattr(owner, name) for owner, name, _ in swapped] == originals
 
 
 # -- max-min fair allocation --------------------------------------------------
@@ -59,8 +79,9 @@ def allocation_problems(draw):
 @given(allocation_problems())
 def test_max_min_backends_bit_identical(problem):
     demands, usage, capacities = problem
-    a = max_min_fair_allocation(demands, usage, capacities, backend="numpy")
-    b = max_min_fair_allocation(demands, usage, capacities, backend="python")
+    a = max_min_fair_allocation(demands, usage, capacities)
+    with scalar_kernels():
+        b = max_min_fair_allocation(demands, usage, capacities)
     assert a.tobytes() == b.tobytes()
 
 
@@ -95,15 +116,10 @@ def repeated_row_allocation_problems(draw):
 def test_max_min_backends_bit_identical_on_repeated_rows(problem):
     demands, usage, capacities, row_of = problem
     a = _ProgressiveFiller(usage, capacities, row_of=row_of).allocate(
-        demands, backend="numpy")
-    b = max_min_fair_allocation(demands, usage, capacities, backend="python")
+        demands)
+    with scalar_kernels():
+        b = max_min_fair_allocation(demands, usage, capacities)
     assert a.tobytes() == b.tobytes()
-
-
-def test_max_min_rejects_unknown_backend():
-    with pytest.raises(ConfigurationError, match="backend"):
-        max_min_fair_allocation(np.ones(2), np.ones((2, 1), dtype=bool),
-                                np.ones(1), backend="fortran")
 
 
 # -- fan-in Lindley sweep -----------------------------------------------------
@@ -119,22 +135,23 @@ def fanin_problems(draw):
     return n_sources, mean_mbps, egress_gbps, buffer_kb, duration_ms, seed
 
 
-def _run_fanin(backend, n_sources, mean_mbps, egress_gbps, buffer_kb,
-               duration_ms, seed):
+def _run_fanin(n_sources, mean_mbps, egress_gbps, buffer_kb, duration_ms,
+               seed):
     sources = [BurstySource(name=f"s{i}", line_rate=Gbps(1),
                             mean_rate=Mbps(mean_mbps), burst_size=KB(128))
                for i in range(n_sources)]
     return simulate_fan_in(sources, egress_rate=Gbps(egress_gbps),
                            buffer_size=KB(buffer_kb),
                            duration=seconds(duration_ms / 1e3),
-                           rng=np.random.default_rng(seed), backend=backend)
+                           rng=np.random.default_rng(seed))
 
 
 @SETTINGS
 @given(fanin_problems())
 def test_fanin_backends_bit_identical(problem):
-    a = _run_fanin("numpy", *problem)
-    b = _run_fanin("python", *problem)
+    a = _run_fanin(*problem)
+    with scalar_kernels():
+        b = _run_fanin(*problem)
     assert a.total_offered == b.total_offered
     assert a.total_delivered == b.total_delivered
     assert a.total_dropped == b.total_dropped
@@ -146,15 +163,6 @@ def test_fanin_backends_bit_identical(problem):
                 sa.dropped_packets) == \
                (sb.offered_packets, sb.delivered_packets,
                 sb.dropped_packets)
-
-
-def test_fanin_rejects_unknown_backend():
-    src = [BurstySource(name="s", line_rate=Gbps(1), mean_rate=Mbps(100),
-                        burst_size=KB(64))]
-    with pytest.raises(ConfigurationError, match="backend"):
-        simulate_fan_in(src, egress_rate=Gbps(1), buffer_size=KB(64),
-                        duration=seconds(0.01),
-                        rng=np.random.default_rng(0), backend="jax")
 
 
 # -- multi-flow fluid simulation ----------------------------------------------
@@ -230,29 +238,32 @@ def _state_fingerprint(sim, progresses):
 @SIM_SETTINGS
 @given(simulation_problems())
 def test_multiflow_backends_bit_identical(problem):
-    states = {}
-    for backend in SIM_BACKENDS:
-        sim = _build_sim(backend, *problem)
-        out = sim.run(until=seconds(4))
-        states[backend] = _state_fingerprint(sim, out)
-    assert states["numpy"] == states["python"]
+    sim = _build_sim("numpy", *problem)
+    kernel = _state_fingerprint(sim, sim.run(until=seconds(4)))
+    with scalar_kernels():
+        sim = _build_sim("numpy", *problem)
+        reference = _state_fingerprint(sim, sim.run(until=seconds(4)))
+    assert kernel == reference
 
 
 def test_multiflow_rejects_unknown_backend():
-    with pytest.raises(ConfigurationError, match="backend"):
-        _build_sim("cython", 2, 0, 0.0, 0,
-                   [{"src": 0, "dst": 1, "mb": 5, "streams": 1,
-                     "start_ms": 0, "unbounded": False}])
+    for name in ("cython", "python"):
+        with pytest.raises(ConfigurationError, match="backend"):
+            _build_sim(name, 2, 0, 0.0, 0,
+                       [{"src": 0, "dst": 1, "mb": 5, "streams": 1,
+                         "start_ms": 0, "unbounded": False}])
 
 
 def test_final_tick_rate_recorded_on_finish():
     """A flow finishing mid-interval records its final-tick rate at the
-    finish time on both backends (the time_series regression fix)."""
-    for backend in SIM_BACKENDS:
-        sim = _build_sim(backend, 2, 5, 0.0, 1,
-                         [{"src": 0, "dst": 1, "mb": 20, "streams": 2,
-                           "start_ms": 0, "unbounded": False}])
-        prog = sim.run(until=seconds(10))["f0"]
+    finish time on the kernel and its reference (the time_series
+    regression fix)."""
+    for swap in (contextlib.nullcontext, scalar_kernels):
+        with swap():
+            sim = _build_sim("numpy", 2, 5, 0.0, 1,
+                             [{"src": 0, "dst": 1, "mb": 20, "streams": 2,
+                               "start_ms": 0, "unbounded": False}])
+            prog = sim.run(until=seconds(10))["f0"]
         assert prog.done and prog.finish_time is not None
         last_t, last_rate = prog.time_series[-1]
         assert last_t == pytest.approx(prog.finish_time.s)
