@@ -167,6 +167,29 @@ def test_perf_vectorized_speedups():
         assert fanin >= 3.0, f"fan-in speedup {fanin:.2f}x < 3x"
 
 
+def test_perf_connection_speedups():
+    """The per-RTT connection kernel must beat its scalar reference in
+    tests/reference/kernels.py by >=2x on the ``fluid_tcp`` scenario
+    (asserted only in full mode; the quick workload is too small)."""
+    is_quick = quick_mode()
+    repeats = quick(5, 1)
+
+    def best():
+        return perf.run_scenario("fluid_tcp", repeats=repeats,
+                                 quick=is_quick)["seconds"]
+
+    kernel = best()
+    with scalar_kernels():
+        reference = best()
+    speedup = reference / kernel
+    emit("BENCH_connection_speedups",
+         "per-RTT connection kernel speedup vs scalar reference\n"
+         f"  fluid_tcp: {speedup:.2f}x "
+         f"({reference * 1e3:.1f}ms -> {kernel * 1e3:.1f}ms)")
+    if not is_quick:
+        assert speedup >= 2.0, f"connection speedup {speedup:.2f}x < 2x"
+
+
 def test_perf_suite_artifact():
     """Run the regression suite and write BENCH_simulator.json (the CI
     artifact that ``repro bench --compare`` gates against the committed

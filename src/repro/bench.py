@@ -244,9 +244,16 @@ _register("megaflows.hybrid",
 
 # -- timing -------------------------------------------------------------------
 
+#: Seconds of untimed calibration runs before the timed ones.  On a
+#: 2-vCPU VM whose second vCPU has idled, the kernel's multithreaded
+#: matmul runs ~6x slower for about a second.
+CALIBRATION_WARMUP_S = 1.5
+
+
 def calibrate(repeats: int = 3) -> float:
     """Time a fixed pure-numpy kernel (seconds, best of ``repeats``).
 
+    The timed runs follow :data:`CALIBRATION_WARMUP_S` of untimed ones.
     Used to normalize scenario timings across machines: CI runners and
     laptops differ in absolute speed but the *ratio* of a scenario to
     this kernel is far more stable.
@@ -254,13 +261,20 @@ def calibrate(repeats: int = 3) -> float:
     rng = np.random.default_rng(0)
     a = rng.random((400, 400))
     b = rng.random(200_000)
-    best = float("inf")
-    for _ in range(max(1, repeats)):
-        t0 = time.perf_counter()
+
+    def kernel():
         for _ in range(4):
             (a @ a).sum()
             np.cumsum(b).sum()
             np.sort(b)
+
+    warm_until = time.perf_counter() + CALIBRATION_WARMUP_S
+    while time.perf_counter() < warm_until:
+        kernel()
+    best = float("inf")
+    for _ in range(max(1, repeats)):
+        t0 = time.perf_counter()
+        kernel()
         best = min(best, time.perf_counter() - t0)
     return best
 
@@ -280,12 +294,13 @@ def run_scenario(name: str, *, repeats: int = 3,
                  quick: bool = False) -> Dict[str, object]:
     """Run one registered scenario; returns name/seconds/repeats.
 
-    ``seconds`` is the best (minimum) of ``repeats`` timed runs — the
-    standard choice for regression gating since it is the least noisy
-    estimator of the true cost.
+    ``seconds`` is the best (minimum) of ``repeats`` timed runs after one
+    untimed warm-up (so lazy imports and cold caches are not billed) — the
+    least noisy estimator of the true cost, hence the regression gate's.
     """
     select([name])
     scenario = SCENARIOS[name]
+    scenario.factory(quick)()
     best = float("inf")
     for _ in range(max(1, repeats)):
         thunk = scenario.factory(quick)
@@ -299,8 +314,13 @@ def run_suite(names: Optional[Sequence[str]] = None, *, repeats: int = 3,
               quick: bool = False,
               progress: Optional[Callable[[str, float], None]] = None,
               ) -> Dict[str, object]:
-    """Run scenarios and return the suite payload (see module docs)."""
+    """Run scenarios and return the suite payload (see module docs).
+
+    The calibration is timed first, so every run's scenarios start in
+    the same state: right after the calibration's matmuls.
+    """
     selected = select(names)
+    calibration = calibrate()
     results: Dict[str, float] = {}
     for name in selected:
         results[name] = float(run_scenario(
@@ -311,7 +331,7 @@ def run_suite(names: Optional[Sequence[str]] = None, *, repeats: int = 3,
         "schema": SCHEMA_VERSION,
         "quick": bool(quick),
         "repeats": int(repeats),
-        "calibration": calibrate(),
+        "calibration": calibration,
         "platform": {
             "python": platform.python_version(),
             "numpy": np.__version__,

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -61,8 +61,10 @@ class RoundSample:
 class TransferResult:
     """Outcome of a single-connection transfer or measurement.
 
-    ``samples`` is decimated (stride doubles once 8192 samples accumulate)
-    so even multi-million-round transfers stay small.
+    Samples are decimated (stride doubles once 8192 accumulate) and kept
+    as three float columns, ``sample_columns`` = (time_s, cwnd_segments,
+    throughput_bps); :attr:`samples` builds :class:`RoundSample` objects
+    from them when read.
     """
 
     bytes_delivered: DataSize
@@ -72,7 +74,13 @@ class TransferResult:
     timeouts: int
     algorithm: str
     extrapolated: bool = False
-    samples: List[RoundSample] = field(default_factory=list)
+    sample_columns: Tuple[List[float], List[float], List[float]] = field(
+        default_factory=lambda: ([], [], []), repr=False)
+
+    @property
+    def samples(self) -> List[RoundSample]:
+        """The decimated samples as :class:`RoundSample` objects."""
+        return [RoundSample(*row) for row in zip(*self.sample_columns)]
 
     @property
     def mean_throughput(self) -> DataRate:
@@ -82,10 +90,8 @@ class TransferResult:
 
     def sample_arrays(self) -> tuple:
         """(time_s, cwnd_segments, throughput_bps) as numpy arrays."""
-        t = np.array([s.time for s in self.samples])
-        w = np.array([s.cwnd_segments for s in self.samples])
-        r = np.array([s.throughput_bps for s in self.samples])
-        return t, w, r
+        return tuple(np.array(column, dtype=np.float64)
+                     for column in self.sample_columns)
 
     def summary(self) -> str:
         tail = " (extrapolated)" if self.extrapolated else ""
@@ -145,8 +151,7 @@ class TcpConnection:
         if profile.random_loss > 0 and rng is None:
             raise ConfigurationError(
                 "path has random loss; TcpConnection requires an rng "
-                "(use Simulator.rng('tcp') or numpy.random.default_rng(seed))"
-            )
+                "(use Simulator.rng('tcp') or numpy.random.default_rng(seed))")
 
         self.mss_bits = profile.flow.mss.bits
         if self.mss_bits <= 0:
@@ -159,8 +164,7 @@ class TcpConnection:
         self.rwnd_segments = max(1.0, rwnd_bits / self.mss_bits)
 
         self.bdp_segments = max(
-            1.0, self.capacity_bps * self.base_rtt / self.mss_bits
-        )
+            1.0, self.capacity_bps * self.base_rtt / self.mss_bits)
         if bottleneck_buffer is None:
             bottleneck_buffer = profile.bottleneck_buffer
         if bottleneck_buffer is None:
@@ -229,30 +233,40 @@ class TcpConnection:
         if max_rounds < 1:
             raise ConfigurationError("max_rounds must be >= 1")
 
-        cwnd = min(self.initial_cwnd, self.rwnd_segments)
-        ssthresh = float("inf")
-        time_since_loss = 0.0
-        elapsed = 0.0
-        delivered_bits = 0.0
-        loss_events = 0
-        timeouts = 0
-        rounds = 0
+        # Constants are read once; in the loop ``b if b < a else a`` is
+        # ``min(a, b)`` with the builtin's tie order, minus the call.
+        mss, bdp, buf = self.mss_bits, self.bdp_segments, self.buffer_segments
+        base_rtt, capacity = self.base_rtt, self.capacity_bps
+        rwnd, algorithm = self.rwnd_segments, self.algorithm
+        increase, ss_factor = algorithm.increase, algorithm.slow_start_factor
+        ss_cap = 2.0 * (bdp + buf)
+        cwnd_cap = ss_cap + rwnd
+        pace = math.inf
+        if self.rate_limit_bps is not None:
+            pace = max(1.0, self.rate_limit_bps * base_rtt / mss)
+        p, exp = self.loss_p, math.exp
+        log1mp = math.log1p(-p) if p < 1 else -math.inf  # -inf: p_round = 1
+        fast_forward = p == 0 and target_bits is not None
+
+        cwnd = rwnd if rwnd < self.initial_cwnd else self.initial_cwnd
+        ssthresh = math.inf
+        time_since_loss = elapsed = delivered_bits = 0.0
+        loss_events = timeouts = rounds = 0
         extrapolated = False
 
-        samples: List[RoundSample] = []
-        stride = 1
-        since_sample = 0
+        # Decimated samples as three columns; ``del column[1::2]`` keeps
+        # what ``column[::2]`` would, in place.
+        times, cwnds, rates = [], [], []
+        stride, since_sample = 1, 0
 
         # Steady-state fast-forward bookkeeping (loss-free paths only).
-        steady_rounds = 0
-        prev_rate = -1.0
+        steady_rounds, prev_rate = 0, -1.0
 
-        mss = self.mss_bits
-        bdp = self.bdp_segments
-        buf = self.buffer_segments
-        p = self.loss_p
-        rng = self._rng
-        log1mp = math.log1p(-p) if 0 < p < 1 else 0.0
+        # Loss uniforms come in blocks of 64 doubling to 4096.  The exit
+        # rewinds to ``state`` (taken before the current block) and redraws
+        # the ``used`` values: one ``rng.random()`` per lossy round, exactly.
+        rng, state, block = self._rng, None, []
+        block_size, n_block, used = 32, 0, 0
 
         tracer = self._tracer
         trace_on = tracer.enabled  # hoisted: one branch per use in the loop
@@ -261,155 +275,152 @@ class TcpConnection:
             tracer.event(
                 "tcp", "transfer", t=t0, phase="B",
                 target_bits=target_bits, duration_s=duration_s,
-                capacity_bps=self.capacity_bps, base_rtt_s=self.base_rtt,
-                loss_p=p, rwnd_segments=self.rwnd_segments,
-                **self.algorithm.trace_attrs(),
+                capacity_bps=capacity, base_rtt_s=base_rtt,
+                loss_p=p, rwnd_segments=rwnd, **algorithm.trace_attrs(),
             )
 
-        while True:
-            if target_bits is not None and delivered_bits >= target_bits:
-                break
-            if duration_s is not None and elapsed >= duration_s:
-                break
-            if rounds >= max_rounds:
-                extrapolated = target_bits is not None
-                break
-
-            # --- sender's offered window this round -------------------------------
-            w_target = min(cwnd, self.rwnd_segments)
-            if self.rate_limit_bps is not None:
-                pace = self.rate_limit_bps * self.base_rtt / mss
-                w_target = min(w_target, max(1.0, pace))
-
-            # --- bottleneck: queue growth and overflow -----------------------------
-            congestion_loss = False
-            if w_target > bdp:
-                queue = w_target - bdp
-                if queue > buf:
-                    congestion_loss = True
-                    queue = buf
-            else:
-                queue = 0.0
-            # Round duration: base RTT inflated by standing-queue delay.
-            rtt_eff = self.base_rtt + queue * mss / self.capacity_bps
-            delivered_this_round = min(w_target, bdp + queue)
-
-            # --- random loss -----------------------------------------------------------
-            random_loss = False
-            if p > 0 and delivered_this_round > 0:
-                # P[at least one loss among delivered packets]
-                p_round = 1.0 - math.exp(log1mp * delivered_this_round)
-                if rng.random() < p_round:
-                    random_loss = True
-
-            if target_bits is not None:
-                remaining = target_bits - delivered_bits
-                delivered_bits += min(delivered_this_round * mss, remaining)
-            else:
-                delivered_bits += delivered_this_round * mss
-            elapsed += rtt_eff
-            rounds += 1
-            time_since_loss += rtt_eff
-
-            # --- decimated sampling ------------------------------------------------------
-            since_sample += 1
-            if since_sample >= stride:
-                since_sample = 0
-                samples.append(RoundSample(
-                    time=elapsed,
-                    cwnd_segments=cwnd,
-                    throughput_bps=delivered_this_round * mss / rtt_eff,
-                ))
-                if trace_on:
-                    # Counter tracks, decimated in lockstep with samples.
-                    tracer.sample("cwnd_segments", cwnd, t=t0 + elapsed,
-                                  category="tcp")
-                    tracer.sample("throughput_bps",
-                                  delivered_this_round * mss / rtt_eff,
-                                  t=t0 + elapsed, category="tcp")
-                if len(samples) >= 8192:
-                    samples = samples[::2]
-                    stride *= 2
-
-            # --- window evolution ---------------------------------------------------------
-            if congestion_loss or random_loss:
-                loss_events += 1
-                # The window that was actually in flight is what the loss
-                # reduces (RFC 2861: cwnd must not be inflated beyond what
-                # the connection has been sending).
-                inflight = min(cwnd, w_target)
-                if inflight < 4.0 and random_loss:
-                    # Too few duplicate ACKs to fast-retransmit: timeout.
-                    timeouts += 1
-                    rto = max(MIN_RTO_SECONDS, 2.0 * rtt_eff)
-                    elapsed += rto
-                    ssthresh = max(2.0, inflight / 2.0)
-                    cwnd = 1.0
-                    if trace_on:
-                        tracer.event("tcp", "loss", t=t0 + elapsed,
-                                     kind="timeout", rto_s=rto,
-                                     cwnd_before=inflight, cwnd_after=cwnd)
-                        tracer.counter("timeouts", component="tcp").inc()
-                else:
-                    cwnd = self.algorithm.on_loss(
-                        inflight, self.base_rtt, rtt_eff
-                    )
-                    ssthresh = cwnd
-                    if trace_on:
-                        tracer.event(
-                            "tcp", "loss", t=t0 + elapsed,
-                            kind="congestion" if congestion_loss else "random",
-                            cwnd_before=inflight, cwnd_after=cwnd)
-                if trace_on:
-                    tracer.counter("loss_events", component="tcp").inc()
-                time_since_loss = 0.0
-                steady_rounds = 0
-            else:
-                # Congestion-window validation: when the flow is receive-
-                # window or pacing limited (w_target < cwnd), cwnd is not
-                # grown further — there are no ACKs beyond w_target to
-                # clock it (RFC 2861).
-                if cwnd <= w_target + 1e-9:
-                    if cwnd < ssthresh:
-                        cwnd = min(
-                            cwnd * self.algorithm.slow_start_factor, ssthresh
-                            if ssthresh != float("inf") else cwnd * 2.0,
-                        )
-                        if ssthresh == float("inf"):
-                            cwnd = min(cwnd, 2.0 * (bdp + buf))
-                    else:
-                        cwnd += self.algorithm.increase(
-                            cwnd, time_since_loss, rtt_eff
-                        )
-                    cwnd = min(cwnd, 2.0 * (bdp + buf) + self.rwnd_segments)
-
-            # --- loss-free steady-state fast-forward --------------------------------
-            # Once the delivered *rate* is stable (window-capped, pacing-
-            # capped, or capacity-filling sawtooth) the rest of the transfer
-            # is linear in time; skip ahead analytically.
-            if p == 0 and target_bits is not None:
-                rate = delivered_this_round * mss / rtt_eff
-                if prev_rate > 0 and abs(rate - prev_rate) <= 1e-9 * prev_rate:
-                    steady_rounds += 1
-                else:
-                    steady_rounds = 0
-                prev_rate = rate
-                if steady_rounds >= 3 and rate > 0:
-                    remaining = target_bits - delivered_bits
-                    if remaining > 0:
-                        extra_rounds = remaining / (delivered_this_round * mss)
-                        elapsed += remaining / rate
-                        rounds += int(math.ceil(extra_rounds))
-                        delivered_bits = target_bits
+        try:
+            while True:
+                if target_bits is not None and delivered_bits >= target_bits:
                     break
+                if duration_s is not None and elapsed >= duration_s:
+                    break
+                if rounds >= max_rounds:
+                    extrapolated = target_bits is not None
+                    break
+
+                # --- sender's offered window this round -------------------------
+                w_target = rwnd if rwnd < cwnd else cwnd
+                w_target = pace if pace < w_target else w_target
+
+                # --- bottleneck: queue growth and overflow -----------------------
+                congestion_loss = False
+                if w_target > bdp:
+                    queue = w_target - bdp
+                    if queue > buf:
+                        congestion_loss = True
+                        queue = buf
+                else:
+                    queue = 0.0
+                # Round duration: base RTT inflated by standing-queue delay.
+                rtt_eff = base_rtt + queue * mss / capacity
+                ceiling = bdp + queue
+                delivered = ceiling if ceiling < w_target else w_target
+
+                # --- random loss: P[at least one loss among delivered packets] --
+                random_loss = False
+                if p > 0 and delivered > 0:
+                    p_round = 1.0 - exp(log1mp * delivered)
+                    if used == n_block:
+                        block_size = block_size * 2 if block_size < 4096 else 4096
+                        state = rng.bit_generator.state
+                        block = rng.random(block_size).tolist()
+                        n_block, used = block_size, 0
+                    random_loss = block[used] < p_round
+                    used += 1
+
+                got = delivered * mss
+                if target_bits is not None:
+                    remaining = target_bits - delivered_bits
+                    got = remaining if remaining < got else got
+                delivered_bits += got
+                elapsed += rtt_eff
+                rounds += 1
+                time_since_loss += rtt_eff
+
+                # --- decimated sampling ------------------------------------------
+                since_sample += 1
+                if since_sample >= stride:
+                    since_sample = 0
+                    rate = delivered * mss / rtt_eff
+                    times.append(elapsed)
+                    cwnds.append(cwnd)
+                    rates.append(rate)
+                    if trace_on:
+                        # Counter tracks, decimated in lockstep with samples.
+                        tracer.sample("cwnd_segments", cwnd, t=t0 + elapsed,
+                                      category="tcp")
+                        tracer.sample("throughput_bps", rate, t=t0 + elapsed,
+                                      category="tcp")
+                    if len(times) >= 8192:
+                        del times[1::2], cwnds[1::2], rates[1::2]
+                        stride *= 2
+
+                # --- window evolution --------------------------------------------
+                if congestion_loss or random_loss:
+                    loss_events += 1
+                    # The window that was actually in flight is what the
+                    # loss reduces (RFC 2861: cwnd must not be inflated
+                    # beyond what the connection has been sending).
+                    inflight = w_target if w_target < cwnd else cwnd
+                    if inflight < 4.0 and random_loss:
+                        # Too few duplicate ACKs to fast-retransmit: timeout.
+                        timeouts += 1
+                        rto = 2.0 * rtt_eff
+                        rto = rto if rto > MIN_RTO_SECONDS else MIN_RTO_SECONDS
+                        elapsed += rto
+                        half = inflight / 2.0
+                        ssthresh = half if half > 2.0 else 2.0
+                        cwnd = 1.0
+                        if trace_on:
+                            tracer.event("tcp", "loss", t=t0 + elapsed,
+                                         kind="timeout", rto_s=rto,
+                                         cwnd_before=inflight, cwnd_after=cwnd)
+                            tracer.counter("timeouts", component="tcp").inc()
+                    else:
+                        cwnd = algorithm.on_loss(inflight, base_rtt, rtt_eff)
+                        ssthresh = cwnd
+                        if trace_on:
+                            tracer.event("tcp", "loss", t=t0 + elapsed,
+                                         kind="congestion" if congestion_loss
+                                         else "random", cwnd_before=inflight,
+                                         cwnd_after=cwnd)
+                    if trace_on:
+                        tracer.counter("loss_events", component="tcp").inc()
+                    time_since_loss = 0.0
+                    steady_rounds = 0
+                elif cwnd <= w_target + 1e-9:
+                    # Congestion-window validation: when the flow is
+                    # receive-window or pacing limited (w_target < cwnd),
+                    # cwnd is not grown further — there are no ACKs beyond
+                    # w_target to clock it (RFC 2861).
+                    if cwnd < ssthresh:
+                        grown = cwnd * ss_factor
+                        limit = ssthresh if ssthresh != math.inf else cwnd * 2.0
+                        cwnd = limit if limit < grown else grown
+                        if ssthresh == math.inf:
+                            cwnd = ss_cap if ss_cap < cwnd else cwnd
+                    else:
+                        cwnd += increase(cwnd, time_since_loss, rtt_eff)
+                    cwnd = cwnd_cap if cwnd_cap < cwnd else cwnd
+
+                # --- loss-free steady-state fast-forward -------------------------
+                # Once the delivered *rate* is stable (window-capped, pacing-
+                # capped, or capacity-filling sawtooth) the rest of the
+                # transfer is linear in time; skip ahead analytically.
+                if fast_forward:
+                    rate = delivered * mss / rtt_eff
+                    steady = abs(rate - prev_rate) <= 1e-9 * prev_rate
+                    steady_rounds = steady_rounds + 1 if prev_rate > 0 and steady else 0
+                    prev_rate = rate
+                    if steady_rounds >= 3 and rate > 0:
+                        remaining = target_bits - delivered_bits
+                        if remaining > 0:
+                            elapsed += remaining / rate
+                            rounds += int(math.ceil(remaining / (delivered * mss)))
+                            delivered_bits = target_bits
+                        break
+        finally:
+            if used < n_block:
+                rng.bit_generator.state = state
+                rng.random(used)
 
         # --- extrapolate an unfinished lossy transfer -------------------------------------
         if extrapolated and target_bits is not None:
             if delivered_bits <= 0 or elapsed <= 0:
                 raise SimulationError(
                     "transfer made no progress within max_rounds; "
-                    "path is effectively unusable"
-                )
+                    "path is effectively unusable")
             rate = delivered_bits / elapsed
             remaining = target_bits - delivered_bits
             elapsed += remaining / rate
@@ -424,12 +435,7 @@ class TcpConnection:
                          timeouts=timeouts, extrapolated=extrapolated)
 
         return TransferResult(
-            bytes_delivered=bits(delivered_bits),
-            duration=seconds(elapsed),
-            rounds=rounds,
-            loss_events=loss_events,
-            timeouts=timeouts,
-            algorithm=self.algorithm.name,
-            extrapolated=extrapolated,
-            samples=samples,
-        )
+            bytes_delivered=bits(delivered_bits), duration=seconds(elapsed),
+            rounds=rounds, loss_events=loss_events, timeouts=timeouts,
+            algorithm=algorithm.name, extrapolated=extrapolated,
+            sample_columns=(times, cwnds, rates))

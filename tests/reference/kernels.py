@@ -1,9 +1,12 @@
-"""Scalar references for the three exact hot paths.
+"""Scalar references for the four exact hot paths.
 
 ``src/repro`` ships one kernel per hot path: the multi-flow tick loop
 (``MultiFlowSimulation._run_numpy``), max-min fair allocation
-(``_ProgressiveFiller.allocate``) and the fan-in Lindley sweep
-(``packetsim._sweep_numpy``).  Each is vectorized with numpy.  The
+(``_ProgressiveFiller.allocate``), the fan-in Lindley sweep
+(``packetsim._sweep_numpy``) and the per-RTT connection loop
+(``TcpConnection._run``).  The first three are vectorized with numpy;
+the connection loop stays scalar (each round depends on the last) but
+draws its uniforms in blocks and keeps its samples as columns.  The
 plain loops below are what those kernels were written against, and
 the kernels must return exactly what they return, bit for bit: the
 goldens were recorded on these loops.  Each reference has the call
@@ -18,7 +21,8 @@ Rules the kernels follow to stay bit-identical to these loops:
   order exactly like the scalar loop;
 * random variates are drawn in the scalar loop's order — one
   ``Generator.random(n)`` call consumes the PCG64 stream identically to
-  *n* scalar ``random()`` calls;
+  *n* scalar ``random()`` calls, and a kernel that draws ahead rewinds
+  the ``Generator`` to the exact count it used;
 * transcendental arithmetic (``**``) is routed through numpy's array
   loops on *both* sides, because numpy's SIMD ``pow`` may differ from
   libm's scalar ``pow`` in the final bit (see :func:`pow_elementwise`).
@@ -27,14 +31,15 @@ Rules the kernels follow to stay bit-identical to these loops:
 from __future__ import annotations
 
 import contextlib
-from typing import Iterator, Optional, Tuple
+import math
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.netsim import packetsim
-from repro.tcp import simulate
-from repro.units import TimeDelta, seconds
+from repro.tcp import connection, simulate
+from repro.units import TimeDelta, bits, seconds
 
 
 def pow_elementwise(base: float, exponent: float) -> float:
@@ -274,12 +279,235 @@ def sweep(
     return delivered, dropped, max_backlog
 
 
+def run_connection(
+    self,
+    *,
+    target_bits: Optional[float],
+    duration_s: Optional[float],
+    max_rounds: int,
+) -> connection.TransferResult:
+    """Scalar reference for ``TcpConnection._run``: one
+    :class:`~repro.tcp.connection.RoundSample` per sampled round and one
+    scalar ``Generator.random()`` draw per lossy round."""
+    if max_rounds < 1:
+        raise ConfigurationError("max_rounds must be >= 1")
+
+    cwnd = min(self.initial_cwnd, self.rwnd_segments)
+    ssthresh = float("inf")
+    time_since_loss = 0.0
+    elapsed = 0.0
+    delivered_bits = 0.0
+    loss_events = 0
+    timeouts = 0
+    rounds = 0
+    extrapolated = False
+
+    samples: List[connection.RoundSample] = []
+    stride = 1
+    since_sample = 0
+
+    # Steady-state fast-forward bookkeeping (loss-free paths only).
+    steady_rounds = 0
+    prev_rate = -1.0
+
+    mss = self.mss_bits
+    bdp = self.bdp_segments
+    buf = self.buffer_segments
+    p = self.loss_p
+    rng = self._rng
+    # log(1-p) is -inf at p = 1, which makes every round with traffic a
+    # loss event (p_round = 1).
+    log1mp = math.log1p(-p) if p < 1 else -math.inf
+
+    tracer = self._tracer
+    trace_on = tracer.enabled  # hoisted: one branch per use in the loop
+    t0 = self._trace_t0
+    if trace_on:
+        tracer.event(
+            "tcp", "transfer", t=t0, phase="B",
+            target_bits=target_bits, duration_s=duration_s,
+            capacity_bps=self.capacity_bps, base_rtt_s=self.base_rtt,
+            loss_p=p, rwnd_segments=self.rwnd_segments,
+            **self.algorithm.trace_attrs(),
+        )
+
+    while True:
+        if target_bits is not None and delivered_bits >= target_bits:
+            break
+        if duration_s is not None and elapsed >= duration_s:
+            break
+        if rounds >= max_rounds:
+            extrapolated = target_bits is not None
+            break
+
+        # --- sender's offered window this round -------------------------------
+        w_target = min(cwnd, self.rwnd_segments)
+        if self.rate_limit_bps is not None:
+            pace = self.rate_limit_bps * self.base_rtt / mss
+            w_target = min(w_target, max(1.0, pace))
+
+        # --- bottleneck: queue growth and overflow -----------------------------
+        congestion_loss = False
+        if w_target > bdp:
+            queue = w_target - bdp
+            if queue > buf:
+                congestion_loss = True
+                queue = buf
+        else:
+            queue = 0.0
+        # Round duration: base RTT inflated by standing-queue delay.
+        rtt_eff = self.base_rtt + queue * mss / self.capacity_bps
+        delivered_this_round = min(w_target, bdp + queue)
+
+        # --- random loss -----------------------------------------------------------
+        random_loss = False
+        if p > 0 and delivered_this_round > 0:
+            # P[at least one loss among delivered packets]
+            p_round = 1.0 - math.exp(log1mp * delivered_this_round)
+            if rng.random() < p_round:
+                random_loss = True
+
+        if target_bits is not None:
+            remaining = target_bits - delivered_bits
+            delivered_bits += min(delivered_this_round * mss, remaining)
+        else:
+            delivered_bits += delivered_this_round * mss
+        elapsed += rtt_eff
+        rounds += 1
+        time_since_loss += rtt_eff
+
+        # --- decimated sampling ------------------------------------------------------
+        since_sample += 1
+        if since_sample >= stride:
+            since_sample = 0
+            samples.append(connection.RoundSample(
+                time=elapsed,
+                cwnd_segments=cwnd,
+                throughput_bps=delivered_this_round * mss / rtt_eff,
+            ))
+            if trace_on:
+                # Counter tracks, decimated in lockstep with samples.
+                tracer.sample("cwnd_segments", cwnd, t=t0 + elapsed,
+                              category="tcp")
+                tracer.sample("throughput_bps",
+                              delivered_this_round * mss / rtt_eff,
+                              t=t0 + elapsed, category="tcp")
+            if len(samples) >= 8192:
+                samples = samples[::2]
+                stride *= 2
+
+        # --- window evolution ---------------------------------------------------------
+        if congestion_loss or random_loss:
+            loss_events += 1
+            # The window that was actually in flight is what the loss
+            # reduces (RFC 2861: cwnd must not be inflated beyond what
+            # the connection has been sending).
+            inflight = min(cwnd, w_target)
+            if inflight < 4.0 and random_loss:
+                # Too few duplicate ACKs to fast-retransmit: timeout.
+                timeouts += 1
+                rto = max(connection.MIN_RTO_SECONDS, 2.0 * rtt_eff)
+                elapsed += rto
+                ssthresh = max(2.0, inflight / 2.0)
+                cwnd = 1.0
+                if trace_on:
+                    tracer.event("tcp", "loss", t=t0 + elapsed,
+                                 kind="timeout", rto_s=rto,
+                                 cwnd_before=inflight, cwnd_after=cwnd)
+                    tracer.counter("timeouts", component="tcp").inc()
+            else:
+                cwnd = self.algorithm.on_loss(
+                    inflight, self.base_rtt, rtt_eff
+                )
+                ssthresh = cwnd
+                if trace_on:
+                    tracer.event(
+                        "tcp", "loss", t=t0 + elapsed,
+                        kind="congestion" if congestion_loss else "random",
+                        cwnd_before=inflight, cwnd_after=cwnd)
+            if trace_on:
+                tracer.counter("loss_events", component="tcp").inc()
+            time_since_loss = 0.0
+            steady_rounds = 0
+        else:
+            # Congestion-window validation: when the flow is receive-
+            # window or pacing limited (w_target < cwnd), cwnd is not
+            # grown further — there are no ACKs beyond w_target to
+            # clock it (RFC 2861).
+            if cwnd <= w_target + 1e-9:
+                if cwnd < ssthresh:
+                    cwnd = min(
+                        cwnd * self.algorithm.slow_start_factor, ssthresh
+                        if ssthresh != float("inf") else cwnd * 2.0,
+                    )
+                    if ssthresh == float("inf"):
+                        cwnd = min(cwnd, 2.0 * (bdp + buf))
+                else:
+                    cwnd += self.algorithm.increase(
+                        cwnd, time_since_loss, rtt_eff
+                    )
+                cwnd = min(cwnd, 2.0 * (bdp + buf) + self.rwnd_segments)
+
+        # --- loss-free steady-state fast-forward --------------------------------
+        # Once the delivered *rate* is stable (window-capped, pacing-
+        # capped, or capacity-filling sawtooth) the rest of the transfer
+        # is linear in time; skip ahead analytically.
+        if p == 0 and target_bits is not None:
+            rate = delivered_this_round * mss / rtt_eff
+            if prev_rate > 0 and abs(rate - prev_rate) <= 1e-9 * prev_rate:
+                steady_rounds += 1
+            else:
+                steady_rounds = 0
+            prev_rate = rate
+            if steady_rounds >= 3 and rate > 0:
+                remaining = target_bits - delivered_bits
+                if remaining > 0:
+                    extra_rounds = remaining / (delivered_this_round * mss)
+                    elapsed += remaining / rate
+                    rounds += int(math.ceil(extra_rounds))
+                    delivered_bits = target_bits
+                break
+
+    # --- extrapolate an unfinished lossy transfer -------------------------------------
+    if extrapolated and target_bits is not None:
+        if delivered_bits <= 0 or elapsed <= 0:
+            raise SimulationError(
+                "transfer made no progress within max_rounds; "
+                "path is effectively unusable"
+            )
+        rate = delivered_bits / elapsed
+        remaining = target_bits - delivered_bits
+        elapsed += remaining / rate
+        delivered_bits = target_bits
+
+    if trace_on:
+        tracer.counter("rounds", component="tcp").inc(rounds)
+        tracer.event("tcp", "transfer", t=t0 + elapsed, phase="E")
+        tracer.event("tcp", "transfer-done", t=t0 + elapsed,
+                     delivered_bits=delivered_bits, duration_s=elapsed,
+                     rounds=rounds, loss_events=loss_events,
+                     timeouts=timeouts, extrapolated=extrapolated)
+    return connection.TransferResult(
+        bytes_delivered=bits(delivered_bits),
+        duration=seconds(elapsed),
+        rounds=rounds,
+        loss_events=loss_events,
+        timeouts=timeouts,
+        algorithm=self.algorithm.name,
+        extrapolated=extrapolated,
+        sample_columns=([s.time for s in samples],
+                        [s.cwnd_segments for s in samples],
+                        [s.throughput_bps for s in samples]),
+    )
+
+
 #: (owner, attribute, reference) for every kernel :func:`scalar_kernels`
 #: replaces.
 _SWAPS = (
     (simulate.MultiFlowSimulation, "_run_numpy", run_multiflow),
     (simulate._ProgressiveFiller, "allocate", allocate),
     (packetsim, "_sweep_numpy", sweep),
+    (connection.TcpConnection, "_run", run_connection),
 )
 
 

@@ -1,5 +1,7 @@
 """Edge-case and algorithm-specific tests for the fluid TCP model."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,36 @@ class TestParameterValidation:
         assert result.extrapolated
         assert result.timeouts > 10
         assert result.duration.hours > 1
+
+
+class TestTotalLoss:
+    """A link that drops every packet must not read as a clean one."""
+
+    @pytest.mark.parametrize("call,arg", [("measure", seconds(10)),
+                                          ("transfer", GB(1))])
+    def test_every_round_with_traffic_is_a_loss_event(self, call, arg):
+        p = profile(loss=1.0, window=MB(1))
+        conn = TcpConnection(p, rng=np.random.default_rng(4))
+        result = getattr(conn, call)(arg, max_rounds=50)
+        assert result.rounds > 0
+        assert result.loss_events == result.rounds
+        assert result.timeouts >= result.rounds - 2
+        assert result.mean_throughput.bps < Mbps(1).bps
+
+    def test_total_loss_matches_the_reference_loop(self):
+        from tests.reference.kernels import scalar_kernels
+
+        results = []
+        for swap in (contextlib.nullcontext, scalar_kernels):
+            rng = np.random.default_rng(4)
+            with swap():
+                r = TcpConnection(profile(loss=1.0), rng=rng).measure(
+                    seconds(10))
+            results.append((r.rounds, r.loss_events, r.timeouts,
+                            r.duration.s, r.sample_columns,
+                            rng.bit_generator.state))
+        assert results[0] == results[1]
+        assert results[0][0] == results[0][1]
 
 
 class TestSampling:

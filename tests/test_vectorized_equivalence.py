@@ -1,8 +1,9 @@
-"""Bit-identity of the vectorized kernels against the scalar references.
+"""Bit-identity of the exact kernels against the scalar references.
 
-The three hot paths (multi-flow fluid loop, fan-in Lindley sweep,
-max-min fair allocation) each ship one numpy kernel; the scalar loops
-they replaced are the oracle in ``tests/reference/kernels.py``.  The
+The four hot paths (multi-flow fluid loop, fan-in Lindley sweep,
+max-min fair allocation, per-RTT connection loop) each ship one kernel;
+the scalar loops they replaced are the oracle in
+``tests/reference/kernels.py``.  The
 contract is *bit*-identity, not approximate equality: goldens were
 recorded against the scalar code, so any last-bit divergence in the
 vectorized path would silently shift reproduced numbers.  These
@@ -14,22 +15,27 @@ compare raw float bit patterns (``tobytes()`` / exact ``==``).
 from __future__ import annotations
 
 import contextlib
+import hashlib
+import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.netsim import Link, Topology
 from repro.netsim.flow import FlowSpec
 from repro.netsim import packetsim
 from repro.netsim.packetsim import BurstySource, simulate_fan_in
-from repro.tcp.congestion import Cubic, HTcp, Reno
+from repro.tcp.congestion import Cubic, HTcp, LossFreeIdeal, Reno
+from repro.tcp.connection import TcpConnection
 from repro.tcp.simulate import (
     MultiFlowSimulation,
     _ProgressiveFiller,
     max_min_fair_allocation,
 )
+from repro.telemetry.tracer import Tracer
 from repro.units import Gbps, KB, MB, Mbps, bytes_, ms, seconds
 from tests.reference import kernels
 from tests.reference.kernels import scalar_kernels
@@ -42,12 +48,13 @@ SIM_SETTINGS = settings(max_examples=12, deadline=None)
 
 
 def test_scalar_kernels_swaps_and_restores():
-    """The helper every comparison here relies on really swaps all three
+    """The helper every comparison here relies on really swaps all four
     kernels for the references, and puts the kernels back."""
     swapped = (
         (MultiFlowSimulation, "_run_numpy", kernels.run_multiflow),
         (_ProgressiveFiller, "allocate", kernels.allocate),
         (packetsim, "_sweep_numpy", kernels.sweep),
+        (TcpConnection, "_run", kernels.run_connection),
     )
     originals = [getattr(owner, name) for owner, name, _ in swapped]
     with scalar_kernels():
@@ -268,3 +275,122 @@ def test_final_tick_rate_recorded_on_finish():
         last_t, last_rate = prog.time_series[-1]
         assert last_t == pytest.approx(prog.finish_time.s)
         assert last_rate > 0.0
+
+
+# -- per-RTT connection loop --------------------------------------------------
+
+CONNECTION_ALGORITHMS = [Reno, HTcp, Cubic, LossFreeIdeal]
+
+
+@st.composite
+def connection_problems(draw):
+    rate = draw(st.sampled_from([Mbps(100), Gbps(1), Gbps(10)]))
+    topo = Topology("equiv-conn")
+    topo.add_host("a", nic_rate=rate)
+    topo.add_host("b", nic_rate=rate)
+    loss = draw(st.one_of(
+        st.just(0.0),
+        st.floats(1e-7, 1e-3),
+        st.floats(0.0, 1.0, exclude_max=True)))
+    topo.connect("a", "b", Link(
+        rate=rate, delay=ms(draw(st.floats(0.05, 80.0))),
+        mtu=bytes_(draw(st.sampled_from([1500, 9000]))),
+        loss_probability=loss))
+    profile = topo.profile_between("a", "b")
+    flow = profile.flow.with_(
+        max_receive_window=draw(st.sampled_from([KB(64), MB(4), MB(256)])))
+    rate_limit = draw(st.one_of(st.none(),
+                                st.sampled_from([Mbps(50), Gbps(2)])))
+    if rate_limit is not None:
+        flow = flow.with_(sender_rate_limit=rate_limit)
+    profile = replace(profile, flow=flow)
+    kwargs = {
+        "algorithm": draw(st.sampled_from(CONNECTION_ALGORITHMS)),
+        "bottleneck_buffer": draw(st.one_of(
+            st.none(), st.sampled_from([KB(16), KB(512), MB(32)]))),
+        "initial_cwnd": draw(st.sampled_from([1.0, 10.0, 40.0])),
+    }
+    calls = [
+        draw(st.one_of(
+            st.tuples(st.just("measure"),
+                      st.floats(0.01, 60.0).map(seconds)),
+            st.tuples(st.just("transfer"),
+                      st.floats(0.01, 5_000.0).map(MB))))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    max_rounds = draw(st.integers(1, 4_000))
+    return (profile, kwargs, calls, max_rounds,
+            draw(st.booleans()), draw(st.integers(0, 2**32 - 1)))
+
+
+def _run_connections(profile, kwargs, calls, max_rounds, traced, seed):
+    """Every call on one shared Generator; returns a fingerprint of the
+    results, the tracer and the Generator state after each call."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for call, arg in calls:
+        tracer = Tracer() if traced else None
+        conn = TcpConnection(profile, algorithm=kwargs["algorithm"](),
+                             rng=rng,
+                             bottleneck_buffer=kwargs["bottleneck_buffer"],
+                             initial_cwnd=kwargs["initial_cwnd"],
+                             tracer=tracer, trace_offset=1.25)
+        try:
+            r = getattr(conn, call)(arg, max_rounds=max_rounds)
+        except SimulationError as exc:
+            outcome = ("error", str(exc))
+        else:
+            h = hashlib.sha256()
+            for column in r.sample_columns:
+                h.update(np.array(column, dtype=np.float64).tobytes())
+            outcome = (np.float64(r.bytes_delivered.bits).tobytes(),
+                       np.float64(r.duration.s).tobytes(), r.rounds,
+                       r.loss_events, r.timeouts, r.extrapolated,
+                       r.algorithm, h.hexdigest())
+        events = None
+        if tracer is not None:
+            events = [(ev.seq, ev.t, ev.phase, ev.category, ev.name,
+                       repr(sorted(ev.attrs.items())))
+                      for ev in tracer.events()]
+        out.append((outcome, events,
+                    json.dumps(rng.bit_generator.state, sort_keys=True)))
+    return out
+
+
+@SIM_SETTINGS
+@given(connection_problems())
+def test_connection_kernel_bit_identical(problem):
+    kernel = _run_connections(*problem)
+    with scalar_kernels():
+        reference = _run_connections(*problem)
+    assert kernel == reference
+
+
+class _BrokenDecrease(Reno):
+    """An algorithm whose first loss raises ConfigurationError."""
+
+    name = "broken"
+
+    def decrease_factor(self, cwnd, rtt_min, rtt_max):
+        return 1.0
+
+
+def test_connection_rewinds_generator_when_the_loop_raises():
+    """A loop that raises mid-block still leaves the Generator where
+    one scalar draw per lossy round would."""
+    topo = Topology("equiv-raise")
+    topo.add_host("a", nic_rate=Gbps(1))
+    topo.add_host("b", nic_rate=Gbps(1))
+    topo.connect("a", "b", Link(rate=Gbps(1), delay=ms(5),
+                                loss_probability=1e-3))
+    profile = topo.profile_between("a", "b")
+    states = []
+    for swap in (contextlib.nullcontext, scalar_kernels):
+        rng = np.random.default_rng(9)
+        with swap():
+            conn = TcpConnection(profile, algorithm=_BrokenDecrease(),
+                                 rng=rng)
+            with pytest.raises(ConfigurationError, match="decrease"):
+                conn.measure(seconds(30))
+        states.append(rng.bit_generator.state)
+    assert states[0] == states[1]
