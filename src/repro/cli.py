@@ -937,8 +937,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="shrunk workloads (CI smoke; compare only "
                               "against a --quick baseline)")
     p_bench.add_argument("--repeats", type=int, default=3,
-                         help="timed runs per scenario; best is kept "
-                              "(default 3)")
+                         help="least timed runs per scenario, each "
+                              "between calibration runs; the median "
+                              "ratio is kept (default 3)")
     p_bench.add_argument("--only", default=None,
                          help="comma-separated scenario names "
                               "(default: all)")

@@ -21,7 +21,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import networkx as nx
 
-from ..errors import RoutingError, TopologyError
+from ..errors import ConfigurationError, RoutingError, TopologyError
 from ..units import DataRate, DataSize, TimeDelta
 from .link import Link
 from .node import FlowContext, Host, Node, PathElement
@@ -137,6 +137,17 @@ class Path:
 class Topology:
     """A named collection of nodes and links with policy-routed paths.
 
+    :meth:`path` memoizes each route it finds, keyed by the resolved
+    endpoint names, the four policy keywords as frozensets and the
+    resolved ``via`` names.  Only :meth:`add_node` (and so
+    :meth:`add_host`), :meth:`connect` and :meth:`remove_link` change
+    the graph, and each clears the cache.  Routing also reads link and
+    node tags and node kinds; those are fixed once an element joins a
+    topology (nothing in the library reassigns them).  A
+    :class:`~repro.errors.RoutingError` is never cached.  Profiles are
+    not cached: faults and :meth:`Link.degrade` change element state
+    between measurements, so :meth:`profile` folds the path afresh.
+
     Examples
     --------
     >>> from repro.units import Gbps, ms
@@ -153,6 +164,7 @@ class Topology:
         self.name = name
         self._graph = nx.Graph()
         self._nodes: Dict[str, Node] = {}
+        self._routes: Dict[tuple, Path] = {}
 
     # -- construction -----------------------------------------------------------
     def add_node(self, node: Node) -> Node:
@@ -160,6 +172,7 @@ class Topology:
             raise TopologyError(f"duplicate node name {node.name!r}")
         self._nodes[node.name] = node
         self._graph.add_node(node.name)
+        self._routes.clear()
         return node
 
     def add_host(self, name: str, **kwargs) -> Host:
@@ -179,6 +192,7 @@ class Topology:
             raise TopologyError("connect() requires a Link")
         self._graph.add_edge(na.name, nb.name, link=link,
                              weight=link.delay.s + 1e-9)
+        self._routes.clear()
         return link
 
     def remove_link(self, a, b) -> None:
@@ -186,6 +200,7 @@ class Topology:
         if not self._graph.has_edge(na.name, nb.name):
             raise TopologyError(f"no link between {na.name!r} and {nb.name!r}")
         self._graph.remove_edge(na.name, nb.name)
+        self._routes.clear()
 
     # -- lookup -------------------------------------------------------------------
     def _resolve(self, ref) -> Node:
@@ -253,14 +268,26 @@ class Topology:
         (e.g. science traffic pinned to the Science DMZ fabric);
         ``forbid_*`` excludes links/nodes (e.g. routing around the
         enterprise firewall).  ``via`` forces the path through waypoints,
-        in order.
+        in order.  A bare string for any of these keywords raises
+        :class:`~repro.errors.ConfigurationError`.  Repeated queries
+        return the cached :class:`Path` (see the class docstring).
         """
         nsrc, ndst = self._resolve(src), self._resolve(dst)
-        require = frozenset(require_link_tags)
-        forbid_l = frozenset(forbid_link_tags)
-        forbid_nt = frozenset(forbid_node_tags)
-        forbid_nk = frozenset(forbid_node_kinds)
+        require = frozenset(_names("require_link_tags", require_link_tags))
+        forbid_l = frozenset(_names("forbid_link_tags", forbid_link_tags))
+        forbid_nt = frozenset(_names("forbid_node_tags", forbid_node_tags))
+        forbid_nk = frozenset(_names("forbid_node_kinds", forbid_node_kinds))
+        waypoints = tuple(self._resolve(w).name for w in _names("via", via))
+        key = (nsrc.name, ndst.name, require, forbid_l, forbid_nt,
+               forbid_nk, waypoints)
+        path = self._routes.get(key)
+        if path is None:
+            path = self._routes[key] = self._route(*key)
+        return path
 
+    def _route(self, src: str, dst: str, require: frozenset,
+               forbid_l: frozenset, forbid_nt: frozenset,
+               forbid_nk: frozenset, via: Tuple[str, ...]) -> Path:
         def link_ok(u: str, v: str, data: dict) -> bool:
             link: Link = data["link"]
             if require and not require <= link.tags:
@@ -271,7 +298,7 @@ class Topology:
 
         def node_ok(name: str) -> bool:
             node = self._nodes[name]
-            if name in (nsrc.name, ndst.name):
+            if name in (src, dst):
                 return True
             if forbid_nt and node.tags & forbid_nt:
                 return False
@@ -279,10 +306,15 @@ class Topology:
                 return False
             return True
 
-        view = nx.subgraph_view(self._graph, filter_node=node_ok,
-                                filter_edge=lambda u, v: link_ok(u, v, self._graph[u][v]))
-        waypoints = [nsrc.name] + [self._resolve(w).name for w in via] + [ndst.name]
-        names: List[str] = [waypoints[0]]
+        # An unconstrained query skips the filtered view, whose filters
+        # call back into Python for every node and edge it visits.
+        view = self._graph
+        if require or forbid_l or forbid_nt or forbid_nk:
+            view = nx.subgraph_view(
+                view, filter_node=node_ok,
+                filter_edge=lambda u, v: link_ok(u, v, self._graph[u][v]))
+        waypoints = (src,) + via + (dst,)
+        names: List[str] = [src]
         for a, b in zip(waypoints, waypoints[1:]):
             try:
                 seg = nx.shortest_path(view, a, b, weight="weight")
@@ -376,3 +408,16 @@ class Topology:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"Topology({self.name!r}, nodes={self.node_count}, "
                 f"links={self.link_count})")
+
+
+def _names(keyword: str, value: Iterable) -> Iterable:
+    """``value`` unchanged, unless it is a bare string.
+
+    Iterating a string yields its characters, so
+    ``forbid_node_kinds="firewall"`` would silently forbid nothing.
+    """
+    if isinstance(value, str):
+        raise ConfigurationError(
+            f"{keyword} takes a collection of names, not the string "
+            f"{value!r}; write {keyword}=({value!r},)")
+    return value
