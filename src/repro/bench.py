@@ -4,9 +4,9 @@ The simulator's credibility rests on two things: the reproduced numbers
 (guarded by goldens) and the ability to run large parameter studies
 quickly (guarded here).  This module times a small registry of *pinned*
 scenarios — the vectorized multi-flow fluid loop, the fan-in Lindley
-sweep, max-min fair allocation, and the single-connection fluid TCP
-loop — and compares the timings against a committed baseline
-(``benchmarks/baseline.json``).
+sweep, max-min fair allocation (all flows live, and a live set that
+changes), and the single-connection fluid TCP loop — and compares the
+timings against a committed baseline (``benchmarks/baseline.json``).
 
 Raw wall-clock times are not portable across machines, so every suite
 run also times a fixed *calibration kernel*, interleaved with each
@@ -162,6 +162,35 @@ def _maxmin_factory(quick: bool):
     return run
 
 
+def _maxmin_live_factory(quick: bool):
+    """The filler a simulation holds over the 12-site backbone, two
+    flows per ordered site pair, called with demands whose live set is
+    redrawn every fourth call, so the live-set memo is both rebuilt and
+    reused."""
+    from .netsim.flow import FlowSpec
+    from .tcp.simulate import MultiFlowSimulation, _ProgressiveFiller
+    from .workloads import wan_backbone
+
+    sites = [f"site{i}" for i in range(12)]
+    specs = [FlowSpec(src=a, dst=b, label=f"{a}-{b}-{k}")
+             for a in sites for b in sites if a != b for k in range(2)]
+    sim = MultiFlowSimulation(wan_backbone(12), specs, backend="numpy")
+    n_calls = 40 if quick else 400
+    rng = np.random.default_rng(5)
+    live = np.zeros(len(specs), dtype=bool)
+    calls = []
+    for k in range(n_calls):
+        if k % 4 == 0:
+            live = rng.random(len(specs)) < 0.2
+        calls.append(np.where(live, rng.random(len(specs)) * 2e10, 0.0))
+
+    def run():
+        allocate = _ProgressiveFiller(sim._usage, sim._capacities,
+                                      row_of=sim._path_of).allocate
+        return sum(float(allocate(d).sum()) for d in calls)
+    return run
+
+
 def _megaflows_simulation(backend: str, quick: bool):
     """An LHC-style gravity traffic matrix on the 12-site WAN backbone.
 
@@ -236,6 +265,10 @@ _register("fanin.numpy",
 _register("maxmin.numpy",
           "max-min fair allocation, 200 flows x 60 links x 100 calls",
           _maxmin_factory)
+_register("maxmin.live",
+          "max-min filler over the 12-site backbone, 264 flows x 400 "
+          "calls, live set redrawn every 4th call",
+          _maxmin_live_factory)
 _register("fluid_tcp",
           "single-connection fluid TCP, 20k lossy rounds",
           _fluid_tcp_factory)

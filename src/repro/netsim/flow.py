@@ -38,7 +38,8 @@ class FlowSpec:
         Number of TCP connections carrying this flow (GridFTP-style
         parallelism).  Streams split the size evenly.
     rate_limit:
-        Application-level pacing cap, if any.
+        Application-level pacing cap, if any.  A 0 bps cap holds an
+        unbounded flow at zero; a sized flow must have a positive cap.
     label:
         Free-form identifier for reporting.
     """
@@ -63,6 +64,11 @@ class FlowSpec:
             )
         if self.size is not None and self.size.bits <= 0:
             raise ConfigurationError("FlowSpec.size must be positive when given")
+        if (self.rate_limit is not None and self.size is not None
+                and self.rate_limit.bps <= 0):
+            raise ConfigurationError(
+                "FlowSpec.rate_limit must be positive for a sized flow, "
+                "which could never finish at 0 bps")
 
     def per_stream_size(self) -> Optional[DataSize]:
         """Size carried by each parallel stream (even split)."""

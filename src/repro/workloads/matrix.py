@@ -45,7 +45,8 @@ def wan_backbone(
 
     Site hosts are named ``site0`` … ``site{n-1}`` — the names
     :func:`traffic_matrix` expects.  ``chord_every`` spaces the diameter
-    chords around the first half of the ring (0 disables them).
+    chords around the first half of the ring (0 disables them); a
+    chord whose ends are ring neighbours (3 sites) is left out.
     """
     if n_sites < 3:
         raise ConfigurationError("wan_backbone needs at least 3 sites")
@@ -57,7 +58,10 @@ def wan_backbone(
                      Link(rate=core_rate, delay=core_delay, mtu=mtu))
     if chord_every:
         for i in range(0, n_sites // 2, chord_every):
-            topo.connect(f"core{i}", f"core{i + n_sites // 2}",
+            j = i + n_sites // 2
+            if (j - i) % n_sites in (1, n_sites - 1):
+                continue  # a ring link already joins the two ends
+            topo.connect(f"core{i}", f"core{j}",
                          Link(rate=core_rate,
                               delay=TimeDelta(core_delay.s * 2.0), mtu=mtu))
     for i in range(n_sites):

@@ -1,10 +1,11 @@
-"""Scalar references for the four exact hot paths.
+"""Scalar references for the exact hot paths.
 
 ``src/repro`` ships one kernel per hot path: the multi-flow tick loop
-(``MultiFlowSimulation._run_numpy``), max-min fair allocation
+(``MultiFlowSimulation._run_numpy``) and its per-link queue advance
+(``MultiFlowSimulation._advance_queues``), max-min fair allocation
 (``_ProgressiveFiller.allocate``), the fan-in Lindley sweep
 (``packetsim._sweep_numpy``) and the per-RTT connection loop
-(``TcpConnection._run``).  The first three are vectorized with numpy;
+(``TcpConnection._run``).  All but the last are vectorized with numpy;
 the connection loop stays scalar (each round depends on the last) but
 draws its uniforms in blocks and keeps its samples as columns.  The
 plain loops below are what those kernels were written against, and
@@ -195,9 +196,21 @@ def run_multiflow(
     return now
 
 
+def advance_queues(self, demands: np.ndarray, dt: float) -> np.ndarray:
+    """Reference for ``MultiFlowSimulation._advance_queues``: offered
+    load per link as a dense sum over the (flows, links) usage matrix."""
+    offered_per_link = (demands[:, None] * self._usage).sum(axis=0)
+    overload = offered_per_link - self._capacities
+    queues = np.maximum(0.0, self._queues + overload * dt)
+    overflowing = queues > self._buffers
+    self._queues = np.minimum(queues, self._buffers)
+    return overflowing
+
+
 def allocate(self, demands: np.ndarray) -> np.ndarray:
     """Scalar reference for ``_ProgressiveFiller.allocate``: per-flow
-    loops for limits and capacity deltas."""
+    loops for limits and capacity deltas, over every flow (the kernel
+    fills the flows with positive demand only)."""
     usage = self.usage
     n_flows, n_links = self.n_flows, self.n_links
     alloc = np.zeros(n_flows)
@@ -505,6 +518,7 @@ def run_connection(
 #: replaces.
 _SWAPS = (
     (simulate.MultiFlowSimulation, "_run_numpy", run_multiflow),
+    (simulate.MultiFlowSimulation, "_advance_queues", advance_queues),
     (simulate._ProgressiveFiller, "allocate", allocate),
     (packetsim, "_sweep_numpy", sweep),
     (connection.TcpConnection, "_run", run_connection),

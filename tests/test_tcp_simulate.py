@@ -196,3 +196,40 @@ class TestFlowSpec:
                         label="demo")
         text = spec.describe()
         assert "demo" in text and "x4" in text
+
+    def test_zero_rate_limit_rejected_on_sized_flow(self):
+        with pytest.raises(ConfigurationError, match="rate_limit"):
+            FlowSpec(src="a", dst="b", size=MB(1), rate_limit=Mbps(0))
+        spec = FlowSpec(src="a", dst="b", rate_limit=Mbps(0))
+        assert spec.rate_limit.bps == 0.0
+
+
+class TestZeroRateLimit:
+    """A 0 bps cap holds a flow at zero; it is not "no cap"."""
+
+    @pytest.mark.parametrize("backend", ["numpy", "fluid"])
+    @pytest.mark.parametrize("kbps", [0, 1])
+    def test_background_cap_holds(self, backend, kbps):
+        from repro.units import Kbps
+        from repro.workloads import BackgroundProfile, wan_backbone
+        profile = BackgroundProfile(per_flow_mean=Kbps(kbps))
+        specs = profile.flow_specs("site0", "site2")
+        sim = MultiFlowSimulation(wan_backbone(4), specs, backend=backend)
+        progress = sim.run(until=seconds(1))
+        delivered = sum(p.delivered.bits for p in progress.values())
+        # At most the aggregate cap for the 1 s horizon plus a tick.
+        assert 0.0 <= delivered <= profile.aggregate_mean.bps * 1.1
+        if kbps == 0:
+            assert delivered == 0.0
+
+    @pytest.mark.parametrize("backend", ["numpy", "fluid"])
+    def test_zero_cap_flow_leaves_the_link_to_others(self, backend,
+                                                     clean_path_topology):
+        specs = [FlowSpec(src="a", dst="b", rate_limit=Mbps(0),
+                          label="held"),
+                 FlowSpec(src="a", dst="b", size=MB(50), label="bulk")]
+        sim = MultiFlowSimulation(clean_path_topology, specs,
+                                  backend=backend)
+        progress = sim.run(until=seconds(5))
+        assert progress["held"].delivered.bits == 0.0
+        assert progress["bulk"].done

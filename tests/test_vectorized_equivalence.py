@@ -48,10 +48,11 @@ SIM_SETTINGS = settings(max_examples=12, deadline=None)
 
 
 def test_scalar_kernels_swaps_and_restores():
-    """The helper every comparison here relies on really swaps all four
+    """The helper every comparison here relies on really swaps all five
     kernels for the references, and puts the kernels back."""
     swapped = (
         (MultiFlowSimulation, "_run_numpy", kernels.run_multiflow),
+        (MultiFlowSimulation, "_advance_queues", kernels.advance_queues),
         (_ProgressiveFiller, "allocate", kernels.allocate),
         (packetsim, "_sweep_numpy", kernels.sweep),
         (TcpConnection, "_run", kernels.run_connection),

@@ -15,6 +15,7 @@ from repro.workloads import (
     lhc_tier2_fanin,
     lightsource_bursts,
     make_dataset,
+    wan_backbone,
 )
 from repro.units import GB, Kbps, MB, Mbps, TB, minutes
 
@@ -136,3 +137,38 @@ class TestBackgroundTraffic:
         with pytest.raises(ConfigurationError):
             BackgroundProfile(per_flow_mean=Mbps(200),
                               per_flow_line_rate=Mbps(100))
+
+
+class TestWanBackbone:
+    def test_three_sites_build_a_plain_ring(self):
+        topo = wan_backbone(3)
+        # Three ring links and three uplinks; the core0-core2 chord
+        # would duplicate a ring link, so there is none.
+        assert topo.link_count == 6
+        assert topo.path("site0", "site1").hop_count == 3
+
+    def test_minimum_enforced(self):
+        with pytest.raises(ConfigurationError):
+            wan_backbone(2)
+
+    def test_larger_backbones_unchanged(self):
+        """Every n >= 4 builds the topology it built before 3-site
+        backbones were allowed: node order, link endpoints in graph
+        order, rates, delays and MTUs, for each chord spacing."""
+        import hashlib
+        import json
+        digests = {}
+        for n in range(4, 17):
+            for chord_every in (0, 1, 2, 3):
+                topo = wan_backbone(n, chord_every=chord_every)
+                edges = [[u, v, d["link"].rate.bps, d["link"].delay.s,
+                          d["link"].mtu.bits]
+                         for u, v, d in topo._graph.edges(data=True)]
+                text = json.dumps([list(topo._graph.nodes), edges])
+                digests[f"{n}/{chord_every}"] = hashlib.sha256(
+                    text.encode()).hexdigest()
+        assert digests["12/3"] == (
+            "cf9304e5235e418f9289b24dbd60c7b5439d07119d00bfe2f45728b172fbf2b6")
+        assert hashlib.sha256(json.dumps(
+            sorted(digests.items())).encode()).hexdigest() == (
+            "214458fa504d975dad9cb8785fde8ecf168382fb6a7b6a47c715a0b3e7c76060")
