@@ -389,11 +389,13 @@ def oracle_mathis_ceiling(obs: RunObservation, *,
                       if s.reachable]
             if not states or any(s.loss < min_loss for s in states):
                 continue
-            # The loosest candidate bound (lowest loss, fastest RTT).
+            # The loosest candidate bound (lowest loss, fastest RTT);
+            # a lossless state (min_loss <= 0) bounds nothing.
             bound = max(
-                s.mss_bits / s.rtt_s * MATHIS_CONSTANT_PAPER
-                / math.sqrt(s.loss)
-                for s in states if s.rtt_s > 0 and s.loss > 0)
+                (s.mss_bits / s.rtt_s * MATHIS_CONSTANT_PAPER
+                 / math.sqrt(s.loss)
+                 for s in states if s.rtt_s > 0 and s.loss > 0),
+                default=math.inf)
             if float(v) > bound * slack:
                 out.append(
                     f"{pair[0]}->{pair[1]} t={float(t)}: measured "

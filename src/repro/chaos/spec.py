@@ -19,10 +19,10 @@ with golden gating) — plus the dedicated ``repro chaos`` CLI.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar, Dict, Mapping, Optional, Tuple
+from typing import ClassVar, Dict, Optional, Tuple
 
-from ..errors import ConfigurationError
-from ..experiment.spec import AlertRuleSpec, ExperimentSpec, MeshSpec
+from ..experiment.spec import (AS_OBJECT, AlertRuleSpec, ExperimentSpec,
+                               MeshSpec, SpecRecord, _require)
 
 __all__ = [
     "CampaignSpec",
@@ -32,13 +32,8 @@ __all__ = [
 ]
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ConfigurationError(message)
-
-
 @dataclass(frozen=True)
-class FaultSpaceSpec:
+class FaultSpaceSpec(SpecRecord):
     """The sampling space one campaign draws fault schedules from.
 
     ``kinds`` name entries in :data:`repro.experiment.registry.FAULTS`
@@ -81,44 +76,10 @@ class FaultSpaceSpec:
         _require(not (self.cut_fraction > 0 and not self.cuts),
                  "cut_fraction > 0 needs at least one candidate in cuts")
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "kinds": list(self.kinds),
-            "nodes": list(self.nodes),
-            "storage_nodes": list(self.storage_nodes),
-            "cache_nodes": list(self.cache_nodes),
-            "min_faults": self.min_faults,
-            "max_faults": self.max_faults,
-            "onset_min_s": self.onset_min_s,
-            "onset_max_s": self.onset_max_s,
-            "repair_fraction": self.repair_fraction,
-            "cuts": [[a, b] for a, b in self.cuts],
-            "cut_fraction": self.cut_fraction,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "FaultSpaceSpec":
-        kinds = data.get("kinds")
-        return cls(
-            kinds=(tuple(str(k) for k in kinds) if kinds is not None
-                   else ("linecard", "optics", "cpu", "duplex")),
-            nodes=tuple(str(n) for n in data.get("nodes") or ()),
-            storage_nodes=tuple(str(n)
-                                for n in data.get("storage_nodes") or ()),
-            cache_nodes=tuple(str(n)
-                              for n in data.get("cache_nodes") or ()),
-            min_faults=int(data.get("min_faults", 1)),
-            max_faults=int(data.get("max_faults", 2)),
-            onset_min_s=float(data.get("onset_min_s", 300.0)),
-            onset_max_s=float(data.get("onset_max_s", 1800.0)),
-            repair_fraction=float(data.get("repair_fraction", 0.0)),
-            cuts=tuple((str(a), str(b)) for a, b in data.get("cuts") or ()),
-            cut_fraction=float(data.get("cut_fraction", 0.0)),
-        )
 
 
 @dataclass(frozen=True)
-class OracleSpec:
+class OracleSpec(SpecRecord):
     """One invariant oracle to evaluate, with its parameters.
 
     ``name`` indexes :data:`repro.chaos.oracles.ORACLES`; ``params``
@@ -127,7 +88,8 @@ class OracleSpec:
     """
 
     name: str
-    params: Tuple[Tuple[str, object], ...] = ()
+    params: Tuple[Tuple[str, object], ...] = field(default=(),
+                                                   metadata=AS_OBJECT)
 
     def __post_init__(self) -> None:
         _require(bool(self.name), "oracle name must be non-empty")
@@ -135,18 +97,10 @@ class OracleSpec:
     def param_mapping(self) -> Dict[str, object]:
         return dict(self.params)
 
-    def to_dict(self) -> Dict[str, object]:
-        return {"name": self.name, "params": {k: v for k, v in self.params}}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "OracleSpec":
-        params = data.get("params") or {}
-        return cls(name=str(data["name"]),
-                   params=tuple(sorted(params.items())))
 
 
 @dataclass(frozen=True)
-class TransferProbeSpec:
+class TransferProbeSpec(SpecRecord):
     """An end-to-end DTN transfer run once per schedule, post-horizon.
 
     The transfer-termination oracle checks the probe either completes
@@ -165,22 +119,6 @@ class TransferProbeSpec:
         _require(self.max_duration_s > 0,
                  "transfer probe max_duration_s must be > 0")
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "size_gb": self.size_gb,
-            "files": self.files,
-            "tool": self.tool,
-            "max_duration_s": self.max_duration_s,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "TransferProbeSpec":
-        return cls(
-            size_gb=float(data.get("size_gb", 10.0)),
-            files=int(data.get("files", 10)),
-            tool=str(data.get("tool", "globus")),
-            max_duration_s=float(data.get("max_duration_s", 86_400.0)),
-        )
 
 
 @dataclass(frozen=True)
@@ -216,39 +154,3 @@ class CampaignSpec(ExperimentSpec):
             _require(oracle.name not in seen,
                      f"duplicate oracle {oracle.name!r} in campaign")
             seen.add(oracle.name)
-
-    def _payload_dict(self) -> Dict[str, object]:
-        return {
-            "design": self.design,
-            "until_s": self.until_s,
-            "mesh": self.mesh.to_dict(),
-            "alert_rule": self.alert_rule.to_dict(),
-            "space": self.space.to_dict(),
-            "schedules": self.schedules,
-            "oracles": [o.to_dict() for o in self.oracles],
-            "transfer": (self.transfer.to_dict()
-                         if self.transfer is not None else None),
-            "shrink": self.shrink,
-            "max_shrink": self.max_shrink,
-        }
-
-    @classmethod
-    def _from_payload(cls, data: Mapping[str, object]) -> "CampaignSpec":
-        transfer = data.get("transfer")
-        return cls(
-            name=str(data["name"]),
-            seed=int(data.get("seed", 0)),
-            description=str(data.get("description", "")),
-            design=str(data.get("design", "simple-science-dmz")),
-            until_s=float(data.get("until_s", 2700.0)),
-            mesh=MeshSpec.from_dict(data.get("mesh") or {}),
-            alert_rule=AlertRuleSpec.from_dict(data.get("alert_rule") or {}),
-            space=FaultSpaceSpec.from_dict(data.get("space") or {}),
-            schedules=int(data.get("schedules", 16)),
-            oracles=tuple(OracleSpec.from_dict(o)
-                          for o in data.get("oracles") or ()),
-            transfer=(TransferProbeSpec.from_dict(transfer)
-                      if transfer else None),
-            shrink=bool(data.get("shrink", True)),
-            max_shrink=int(data.get("max_shrink", 4)),
-        )

@@ -482,12 +482,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def cmd_specs(args: argparse.Namespace) -> int:
-    import hashlib
     import json
-
-    from .exec.seeding import canonical_json
-    from .experiment import lazy_spec_kinds, spec_kinds
-    from .experiment.spec import SPEC_SCHEMA_VERSION
 
     root = pathlib.Path(args.dir)
     if not root.is_dir():
@@ -498,38 +493,10 @@ def cmd_specs(args: argparse.Namespace) -> int:
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 data = json.load(handle)
-        except (OSError, ValueError) as exc:
-            bad += 1
-            rows.append([path.name, "-", "-", "-", "-",
-                         f"UNREADABLE: {exc}"])
-            continue
-        if not isinstance(data, dict) or "kind" not in data:
-            continue  # sidecar JSON (e.g. golden.json), not a spec
-        kind = data.get("kind")
-        if kind in lazy_spec_kinds():
-            # Listing must not import optional subsystems as a side
-            # effect; committed lazy-kind specs are full `save()` dumps,
-            # so their canonical-JSON hash IS the parsed spec's digest.
-            if data.get("schema") != SPEC_SCHEMA_VERSION or \
-                    not data.get("name"):
-                bad += 1
-                rows.append([path.name, str(kind), "-", "-", "-",
-                             "UNREADABLE: bad schema or missing name"])
-                continue
-            digest = hashlib.sha256(
-                canonical_json(data).encode("utf-8")).hexdigest()
-            rows.append([path.name, str(kind), data["name"],
-                         int(data.get("seed", 0)), digest[:12],
-                         str(data.get("description", ""))])
-            continue
-        if kind not in spec_kinds():
-            bad += 1
-            rows.append([path.name, str(kind), "-", "-", "-",
-                         f"UNREADABLE: unknown kind {kind!r}"])
-            continue
-        try:
+            if not isinstance(data, dict) or "kind" not in data:
+                continue  # sidecar JSON (e.g. golden.json), not a spec
             spec = ExperimentSpec.from_dict(data)
-        except ConfigurationError as exc:
+        except (OSError, ValueError) as exc:  # ConfigurationError too
             bad += 1
             rows.append([path.name, "-", "-", "-", "-",
                          f"UNREADABLE: {exc}"])

@@ -55,8 +55,8 @@ from .spec import (
     MeshSpec,
     ScenarioSpec,
     SpecKind,
+    SpecRecord,
     SweepSpec,
-    lazy_spec_kinds,
     load_spec,
     register_spec_kind,
     registered_spec_kinds,
@@ -74,13 +74,13 @@ __all__ = [
     "LinkCutSpec",
     "AlertRuleSpec",
     "SPEC_SCHEMA_VERSION",
-    "lazy_spec_kinds",
     "load_spec",
     "register_spec_kind",
     "registered_spec_kinds",
     "spec_kind",
     "spec_kinds",
     "SpecKind",
+    "SpecRecord",
     "RunContext",
     "RunOutput",
     "RunResult",

@@ -20,10 +20,13 @@ spec that names it.
 
 from __future__ import annotations
 
+import functools
+import inspect
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping
+from typing import Callable, Dict, Mapping, Sequence, Tuple
 
 from ..errors import ConfigurationError
+from .spec import decode_value
 
 __all__ = [
     "DESIGNS",
@@ -162,6 +165,44 @@ class SweepTarget:
     #: runner then derives one from the spec seed for every grid point.
     seeded: bool = False
 
+    def check_grid(self, grid: Sequence[Tuple[str, Sequence[object]]],
+                   seeded: bool = False) -> None:
+        """Check a sweep grid against ``fn``'s signature, before any run.
+
+        Raises a ConfigurationError naming ``grid[i]`` for a name ``fn``
+        does not take (unless it takes ``**kwargs``), a required
+        parameter the grid lacks (``seed`` comes from the runner when
+        ``seeded``), or a value whose JSON type does not fit an
+        ``int``/``float``/``str``/``bool`` annotation.  Values are only
+        checked, never converted, so cache keys and goldens do not move.
+        """
+        params = _parameters(self.fn)
+        open_ended = any(p.kind is p.VAR_KEYWORD for p in params.values())
+        for i, (name, values) in enumerate(grid):
+            if name not in params and not open_ended:
+                raise ConfigurationError(
+                    f"grid[{i}]: target {self.name!r} takes no parameter "
+                    f"{name!r}; it takes {', '.join(params)}")
+            tp = params[name].annotation if name in params else None
+            if tp in (int, float, str, bool):
+                decode_value(Tuple[tp, ...], values, f"grid[{i}][1]")
+        given = {name for name, _ in grid} | ({"seed"} if seeded else set())
+        for name, param in params.items():
+            if (param.default is param.empty and name not in given
+                    and param.kind in (param.POSITIONAL_OR_KEYWORD,
+                                       param.KEYWORD_ONLY)):
+                raise ConfigurationError(
+                    f"grid: target {self.name!r} needs parameter {name!r}")
+
+
+@functools.cache
+def _parameters(fn: Callable) -> Mapping[str, inspect.Parameter]:
+    """``fn``'s parameters, their annotations resolved where possible."""
+    try:
+        return inspect.signature(fn, eval_str=True).parameters
+    except NameError:
+        return inspect.signature(fn).parameters
+
 
 SWEEP_TARGETS: Dict[str, SweepTarget] = {}
 
@@ -183,6 +224,13 @@ def sweep_target(name: str) -> SweepTarget:
         known = ", ".join(sorted(SWEEP_TARGETS))
         raise ConfigurationError(
             f"unknown sweep target {name!r}; known targets: {known}")
+
+
+def _rep_seed(rep: int) -> int:
+    """A repetition index as an RNG seed (numpy takes none below 0)."""
+    if rep < 0:
+        raise ConfigurationError(f"rep must be >= 0, got {rep}")
+    return int(rep)
 
 
 def mathis_grid_point(rtt_ms: float, loss: float, mss_bytes: int) -> float:
@@ -226,7 +274,7 @@ def fig1_tcp_point(algorithm: str, rtt_ms: float, loss: float,
     profile = topo.profile_between("a", "b")
     profile = replace(
         profile, flow=profile.flow.with_(max_receive_window=MB(window_mb)))
-    rng = np.random.default_rng(int(rep)) if loss > 0 else None
+    rng = np.random.default_rng(_rep_seed(rep)) if loss > 0 else None
     conn = TcpConnection(profile, algorithm=algorithm_by_name(algorithm),
                          rng=rng)
     return conn.measure(seconds(float(duration_s)),
@@ -248,7 +296,7 @@ def detection_delay_point(cadence_min: float, probes: int,
 
     bundle = build_design("simple-science-dmz")
     scenario = (
-        Scenario(bundle, seed=int(rep))
+        Scenario(bundle, seed=_rep_seed(rep))
         .with_mesh(
             ["dmz-perfsonar", "remote-dtn"],
             config=MeshConfig(owamp_interval=minutes(float(cadence_min)),
@@ -284,7 +332,7 @@ def cu_host_throughput(fixed_fabric: bool, rep: int) -> float:
     profile = bundle.topology.profile_between(
         "cms1", bundle.remote_dtn, **bundle.science_policy)
     conn = TcpConnection(profile, algorithm=algorithm_by_name("htcp"),
-                         rng=np.random.default_rng(int(rep)))
+                         rng=np.random.default_rng(_rep_seed(rep)))
     return conn.measure(seconds(20), max_rounds=100_000).mean_throughput.bps
 
 

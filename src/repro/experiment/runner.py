@@ -168,6 +168,7 @@ def _run_sweep(spec: SweepSpec, ctx: RunContext, version: str):
         raise ConfigurationError(
             f"spec {spec.name!r} asks for per-point seeds but target "
             f"{spec.target!r} is registered without a seed parameter")
+    target.check_grid(spec.grid, seeded=spec.seeded)
     # Approximate engines fork the sweep cache identity via the version
     # tag (sweep targets take arbitrary grids, so there is no single
     # params slot to carry the engine the way scenarios do); runs on the

@@ -24,6 +24,9 @@ with the runner and renderer :func:`register_spec_kind` was given; the
 built-in runners register from :mod:`repro.experiment.runner`, the
 ``campaign`` and ``federation`` ones from their own packages.
 
+Every spec dataclass, of every kind and package, reads and writes JSON
+through one codec driven by its field types (:class:`SpecRecord`).
+
 Specs serialize through the same :func:`repro.exec.seeding.canonical_json`
 the result cache keys use, so ``spec.digest()`` is stable across
 processes, platforms and ``PYTHONHASHSEED`` — two people holding the
@@ -35,12 +38,17 @@ canonical encoder's key sorting.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field, fields
-from typing import (Callable, ClassVar, Dict, List, Mapping, Optional,
-                    Sequence, Tuple, Type)
+import sys
+from collections.abc import Mapping
+from dataclasses import MISSING, dataclass, field, fields
+from itertools import cycle
+from types import NoneType
+from typing import (Callable, ClassVar, Dict, List, Optional, Sequence,
+                    Tuple, Type, Union, get_args, get_origin, get_type_hints)
 
 from ..errors import ConfigurationError
 from ..exec.seeding import canonical_json
@@ -55,9 +63,10 @@ __all__ = [
     "MeshSpec",
     "ScenarioSpec",
     "SpecKind",
+    "SpecRecord",
     "SweepSpec",
+    "decode_value",
     "load_spec",
-    "lazy_spec_kinds",
     "register_spec_kind",
     "registered_spec_kinds",
     "spec_kind",
@@ -73,14 +82,168 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigurationError(message)
 
 
-def _tuple_of(values: Optional[Sequence]) -> Tuple:
-    return tuple(values) if values is not None else ()
+# -- the codec ----------------------------------------------------------------
+
+#: Field metadata for pair fields: ``AS_OBJECT`` (keyword params) is a
+#: JSON object stored sorted, ``OBJECT_OR_PAIRS`` (a sweep grid) a pair
+#: list kept in order, also read from an object in its key order.
+AS_OBJECT = {"json": "object"}
+OBJECT_OR_PAIRS = {"json": "object-or-pairs"}
+
+
+def _at(path: str, message: str) -> str:
+    return f"{path}: {message}" if path else message
+
+
+def _wrong(path: str, expected: str, value: object) -> ConfigurationError:
+    shown = json.dumps(value, default=repr)
+    shown = shown if len(shown) <= 40 else shown[:37] + "..."
+    return ConfigurationError(_at(path, f"expected {expected}, got {shown}"))
+
+
+def _same(value: object) -> object:
+    return value
+
+
+#: The JSON leaf types: how to test a value, what the error expected.
+_LEAVES = {
+    str: (lambda v: isinstance(v, str), "a string"),
+    bool: (lambda v: v is True or v is False, "true or false"),
+    int: (lambda v: isinstance(v, int) and not isinstance(v, bool),
+          "an integer"),
+    # abs() compares a huge int exactly, and is False for NaN.
+    float: (lambda v: isinstance(v, (int, float))
+            and not isinstance(v, bool) and abs(v) <= sys.float_info.max,
+            "a number"),
+    object: (lambda v: v is None or isinstance(v, (str, int, float)),
+             "a JSON scalar"),
+}
+
+
+@functools.cache
+def _rules(tp: object,
+           how: Optional[str] = None) -> Tuple[Callable, Callable]:
+    """``(decode, encode)`` for a field of type ``tp``: ``decode(value,
+    path)`` reads JSON, ``encode(value)`` writes it."""
+    if how == "object":
+        (key, _), (item, _) = map(_rules, get_args(get_args(tp)[0]))
+
+        def decode_object(value, path):
+            if not isinstance(value, Mapping):
+                raise _wrong(path, "an object", value)
+            return tuple(sorted((key(k, path), item(v, f"{path}.{k}"))
+                                for k, v in value.items()))
+        return decode_object, dict
+    if how == "object-or-pairs":
+        pairs, encode = _rules(tp)
+        return (lambda value, path: pairs(list(value.items()) if isinstance(
+            value, Mapping) else value, path)), encode
+    if tp in _LEAVES:
+        fits, expected = _LEAVES[tp]
+        convert = float if tp is float else _same
+
+        def decode_leaf(value, path):
+            if fits(value):
+                return convert(value)
+            raise _wrong(path, expected, value)
+        return decode_leaf, convert
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is Union:  # Optional[X], the one place null is read
+        decode, encode = _rules(next(a for a in args if a is not NoneType))
+        return ((lambda value, path: None if value is None
+                 else decode(value, path)),
+                lambda value: None if value is None else encode(value))
+    if origin is tuple:
+        # Tuple[X, ...] is a list of any length; Tuple[X, Y] of two.
+        rules = [_rules(a) for a in args if a is not Ellipsis]
+        size = None if args[-1] is Ellipsis else len(rules)
+        # A list of leaves is checked in one pass and copied whole; the
+        # item-by-item pass below then runs only to name a bad item.
+        fits = None if size else _LEAVES.get(args[0], (None,))[0]
+        convert = rules[0][1]
+
+        def decode_list(value, path):
+            if not isinstance(value, (list, tuple)) or (
+                    size is not None and len(value) != size):
+                raise _wrong(path, f"a list of {size}" if size else "a list",
+                             value)
+            if fits is not None and all(map(fits, value)):
+                return tuple(value if convert is _same
+                             else map(convert, value))
+            return tuple([d(v, f"{path}[{i}]") for i, ((d, _), v)
+                          in enumerate(zip(cycle(rules), value))])
+        if fits is not None:
+            return decode_list, (list if convert is _same else
+                                 lambda value: list(map(convert, value)))
+        return decode_list, lambda value: [e(v) for (_, e), v
+                                           in zip(cycle(rules), value)]
+    if isinstance(tp, type) and issubclass(tp, SpecRecord):
+        return _record(tp)
+    raise TypeError(f"no spec codec rule for field type {tp!r}")
+
+
+def _record(cls: type) -> Tuple[Callable, Callable]:
+    """``(decode, encode)`` for a :class:`SpecRecord` class, built once
+    from its type hints."""
+    hints = get_type_hints(cls)
+    rules = [(f.name, *_rules(hints[f.name], f.metadata.get("json")))
+             for f in fields(cls)]
+    required = [f.name for f in fields(cls)
+                if f.default is MISSING and f.default_factory is MISSING]
+    header = ({"schema": SPEC_SCHEMA_VERSION, "kind": cls.kind}
+              if issubclass(cls, ExperimentSpec) else {})
+    keys = {name for name, _, _ in rules} | header.keys()
+
+    def decode(data, path):
+        if not isinstance(data, Mapping):
+            raise _wrong(path, "an object", data)
+        if not keys.issuperset(data):
+            raise ConfigurationError(_at(path, "unknown field " + ", ".join(
+                sorted(repr(k) for k in data.keys() - keys))))
+        kwargs = {name: rule(data[name], f"{path}.{name}" if path else name)
+                  for name, rule, _ in rules if name in data}
+        for name in required:
+            if name not in kwargs:
+                raise ConfigurationError(
+                    _at(path, f"missing required field {name!r}"))
+        try:
+            return cls(**kwargs)
+        except ConfigurationError as exc:
+            raise ConfigurationError(_at(path, str(exc))) from None
+
+    def encode(obj):
+        return {name: rule(getattr(obj, name))
+                for name, _, rule in rules} | header
+    return decode, encode
+
+
+def decode_value(tp: object, value: object, path: str = "") -> object:
+    """``value`` read as a ``tp`` field; a ConfigurationError names
+    ``path`` when its JSON type does not fit."""
+    return _rules(tp)[0](value, path)
+
+
+class SpecRecord:
+    """A frozen spec dataclass that reads and writes itself as JSON.
+
+    Both directions follow the dataclass's field types, by the rules in
+    ``docs/experiments.md`` ("JSON type rules").
+    """
+
+    def to_dict(self) -> Dict[str, object]:
+        """The JSON-ready form; a spec kind's has ``schema`` and ``kind``."""
+        return _rules(type(self))[1](self)
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, object]):
+        """Parse a JSON object; raises a path-named ConfigurationError."""
+        return _rules(cls)[0](data, "")
 
 
 # -- scenario sub-specs -------------------------------------------------------
 
 @dataclass(frozen=True)
-class MeshSpec:
+class MeshSpec(SpecRecord):
     """The perfSONAR mesh of a scenario: who probes whom, how often.
 
     ``hosts`` may be empty, meaning "derive from the design" (its
@@ -100,30 +263,9 @@ class MeshSpec:
                  "mesh intervals must be positive")
         _require(self.owamp_packets >= 1, "owamp_packets must be >= 1")
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "hosts": list(self.hosts),
-            "owamp_interval_s": self.owamp_interval_s,
-            "bwctl_interval_s": self.bwctl_interval_s,
-            "bwctl_duration_s": self.bwctl_duration_s,
-            "owamp_packets": self.owamp_packets,
-            "algorithm": self.algorithm,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "MeshSpec":
-        return cls(
-            hosts=_tuple_of(data.get("hosts")),
-            owamp_interval_s=float(data.get("owamp_interval_s", 60.0)),
-            bwctl_interval_s=float(data.get("bwctl_interval_s", 600.0)),
-            bwctl_duration_s=float(data.get("bwctl_duration_s", 10.0)),
-            owamp_packets=int(data.get("owamp_packets", 20_000)),
-            algorithm=str(data.get("algorithm", "htcp")),
-        )
-
 
 @dataclass(frozen=True)
-class FaultSpec:
+class FaultSpec(SpecRecord):
     """One soft failure on the timeline.
 
     ``kind`` names an entry in :data:`repro.experiment.registry.FAULTS`
@@ -135,7 +277,8 @@ class FaultSpec:
     kind: str
     at_s: float
     node: Optional[str] = None
-    params: Tuple[Tuple[str, object], ...] = ()
+    params: Tuple[Tuple[str, object], ...] = field(default=(),
+                                                   metadata=AS_OBJECT)
 
     def __post_init__(self) -> None:
         _require(bool(self.kind), "fault kind must be non-empty")
@@ -144,44 +287,18 @@ class FaultSpec:
     def param_mapping(self) -> Dict[str, object]:
         return dict(self.params)
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "kind": self.kind,
-            "at_s": self.at_s,
-            "node": self.node,
-            "params": {k: v for k, v in self.params},
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "FaultSpec":
-        params = data.get("params") or {}
-        return cls(
-            kind=str(data["kind"]),
-            at_s=float(data["at_s"]),
-            node=data.get("node"),
-            params=tuple(sorted(params.items())),
-        )
-
 
 @dataclass(frozen=True)
-class LinkCutSpec:
+class LinkCutSpec(SpecRecord):
     """A §3.3 *hard* failure: the a—b link goes down at ``at_s``."""
 
     a: str
     b: str
     at_s: float
 
-    def to_dict(self) -> Dict[str, object]:
-        return {"a": self.a, "b": self.b, "at_s": self.at_s}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "LinkCutSpec":
-        return cls(a=str(data["a"]), b=str(data["b"]),
-                   at_s=float(data["at_s"]))
-
 
 @dataclass(frozen=True)
-class AlertRuleSpec:
+class AlertRuleSpec(SpecRecord):
     """Thresholds for the outcome's :class:`~repro.perfsonar.alerts.AlertRule`."""
 
     loss_rate_threshold: float = 1e-5
@@ -189,34 +306,16 @@ class AlertRuleSpec:
     latency_rise_fraction: float = 0.5
     baseline_samples: int = 3
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "loss_rate_threshold": self.loss_rate_threshold,
-            "throughput_drop_fraction": self.throughput_drop_fraction,
-            "latency_rise_fraction": self.latency_rise_fraction,
-            "baseline_samples": self.baseline_samples,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "AlertRuleSpec":
-        return cls(
-            loss_rate_threshold=float(data.get("loss_rate_threshold", 1e-5)),
-            throughput_drop_fraction=float(
-                data.get("throughput_drop_fraction", 0.5)),
-            latency_rise_fraction=float(
-                data.get("latency_rise_fraction", 0.5)),
-            baseline_samples=int(data.get("baseline_samples", 3)),
-        )
-
 
 # -- the spec kinds -----------------------------------------------------------
 
 @dataclass(frozen=True)
-class ExperimentSpec:
+class ExperimentSpec(SpecRecord):
     """Base of all spec kinds: identity, seed, provenance helpers.
 
     Subclasses set ``kind`` (a class attribute, serialized into the
-    JSON) and implement ``_payload_dict``/``_from_payload``.
+    JSON next to ``schema``) and declare their payload as typed fields;
+    the codec reads and writes them.
     """
 
     kind: ClassVar[str] = ""
@@ -227,20 +326,9 @@ class ExperimentSpec:
 
     def __post_init__(self) -> None:
         _require(bool(self.name), "spec name must be non-empty")
+        _require(self.seed >= 0, f"seed must be >= 0, got {self.seed}")
 
     # -- serialization --------------------------------------------------------
-    def to_dict(self) -> Dict[str, object]:
-        """The full JSON-ready representation (schema + kind included)."""
-        out: Dict[str, object] = {
-            "schema": SPEC_SCHEMA_VERSION,
-            "kind": self.kind,
-            "name": self.name,
-            "seed": self.seed,
-            "description": self.description,
-        }
-        out.update(self._payload_dict())
-        return out
-
     def to_json(self) -> str:
         """Canonical (sorted-key, whitespace-free) JSON for this spec."""
         return canonical_json(self.to_dict())
@@ -260,14 +348,13 @@ class ExperimentSpec:
     @staticmethod
     def from_dict(data: Mapping[str, object]) -> "ExperimentSpec":
         if not isinstance(data, Mapping):
-            raise ConfigurationError(
-                f"a spec must be a JSON object, got {type(data).__name__}")
+            raise _wrong("", "a spec object", data)
         schema = data.get("schema")
-        if schema != SPEC_SCHEMA_VERSION:
+        if type(schema) is not int or schema != SPEC_SCHEMA_VERSION:
             raise ConfigurationError(
                 f"spec has schema {schema!r}; this library speaks "
                 f"schema {SPEC_SCHEMA_VERSION}")
-        return spec_kind(data.get("kind")).cls._from_payload(data)
+        return _rules(spec_kind(data.get("kind")).cls)[0](data, "")
 
     @staticmethod
     def from_json(text: str) -> "ExperimentSpec":
@@ -289,14 +376,6 @@ class ExperimentSpec:
     def points(self) -> Optional[int]:
         """Progress units a run reports, when the kind knows up front."""
         return None
-
-    # -- subclass hooks -------------------------------------------------------
-    def _payload_dict(self) -> Dict[str, object]:
-        raise NotImplementedError
-
-    @classmethod
-    def _from_payload(cls, data: Mapping[str, object]) -> "ExperimentSpec":
-        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -324,34 +403,6 @@ class ScenarioSpec(ExperimentSpec):
     def points(self) -> int:
         return 1
 
-    def _payload_dict(self) -> Dict[str, object]:
-        return {
-            "design": self.design,
-            "until_s": self.until_s,
-            "mesh": self.mesh.to_dict(),
-            "faults": [f.to_dict() for f in self.faults],
-            "repairs_s": list(self.repairs_s),
-            "link_cuts": [c.to_dict() for c in self.link_cuts],
-            "alert_rule": self.alert_rule.to_dict(),
-        }
-
-    @classmethod
-    def _from_payload(cls, data: Mapping[str, object]) -> "ScenarioSpec":
-        return cls(
-            name=str(data["name"]),
-            seed=int(data.get("seed", 0)),
-            description=str(data.get("description", "")),
-            design=str(data.get("design", "simple-science-dmz")),
-            until_s=float(data.get("until_s", 5400.0)),
-            mesh=MeshSpec.from_dict(data.get("mesh") or {}),
-            faults=tuple(FaultSpec.from_dict(f)
-                         for f in data.get("faults") or ()),
-            repairs_s=tuple(float(r) for r in data.get("repairs_s") or ()),
-            link_cuts=tuple(LinkCutSpec.from_dict(c)
-                            for c in data.get("link_cuts") or ()),
-            alert_rule=AlertRuleSpec.from_dict(data.get("alert_rule") or {}),
-        )
-
 
 @dataclass(frozen=True)
 class SweepSpec(ExperimentSpec):
@@ -369,7 +420,8 @@ class SweepSpec(ExperimentSpec):
     kind: ClassVar[str] = "sweep"
 
     target: str = ""
-    grid: Tuple[Tuple[str, Tuple[object, ...]], ...] = ()
+    grid: Tuple[Tuple[str, Tuple[object, ...]], ...] = field(
+        default=(), metadata=OBJECT_OR_PAIRS)
     value_label: str = "value"
     on_error: str = "raise"
     seeded: bool = False
@@ -408,35 +460,6 @@ class SweepSpec(ExperimentSpec):
             total *= len(values)
         return total
 
-    def _payload_dict(self) -> Dict[str, object]:
-        return {
-            "target": self.target,
-            "grid": [[param, list(values)] for param, values in self.grid],
-            "value_label": self.value_label,
-            "on_error": self.on_error,
-            "seeded": self.seeded,
-        }
-
-    @classmethod
-    def _from_payload(cls, data: Mapping[str, object]) -> "SweepSpec":
-        raw_grid = data.get("grid") or ()
-        if isinstance(raw_grid, Mapping):
-            # Accept object form for hand-written files, though the
-            # canonical encoding is the order-preserving pair list.
-            pairs = list(raw_grid.items())
-        else:
-            pairs = [(p, v) for p, v in raw_grid]
-        return cls(
-            name=str(data["name"]),
-            seed=int(data.get("seed", 0)),
-            description=str(data.get("description", "")),
-            target=str(data.get("target", "")),
-            grid=tuple((str(p), tuple(v)) for p, v in pairs),
-            value_label=str(data.get("value_label", "value")),
-            on_error=str(data.get("on_error", "raise")),
-            seeded=bool(data.get("seeded", False)),
-        )
-
 
 @dataclass(frozen=True)
 class BenchSpec(ExperimentSpec):
@@ -456,24 +479,6 @@ class BenchSpec(ExperimentSpec):
     def __post_init__(self) -> None:
         super().__post_init__()
         _require(self.repeats >= 1, "bench repeats must be >= 1")
-
-    def _payload_dict(self) -> Dict[str, object]:
-        return {
-            "scenarios": list(self.scenarios),
-            "repeats": self.repeats,
-            "quick": self.quick,
-        }
-
-    @classmethod
-    def _from_payload(cls, data: Mapping[str, object]) -> "BenchSpec":
-        return cls(
-            name=str(data["name"]),
-            seed=int(data.get("seed", 0)),
-            description=str(data.get("description", "")),
-            scenarios=_tuple_of(data.get("scenarios")),
-            repeats=int(data.get("repeats", 3)),
-            quick=bool(data.get("quick", False)),
-        )
 
 
 @dataclass(frozen=True)
@@ -535,11 +540,11 @@ def spec_kind(kind: object) -> SpecKind:
     Raises :class:`~repro.errors.ConfigurationError` naming the known
     kinds when there is none.
     """
-    if kind not in _KINDS and kind in _LAZY_KINDS:
+    if isinstance(kind, str) and kind not in _KINDS and kind in _LAZY_KINDS:
         import importlib
 
         importlib.import_module(_LAZY_KINDS[kind])
-    if kind not in _KINDS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise ConfigurationError(
             f"unknown spec kind {kind!r}; known kinds: "
             f"{', '.join(spec_kinds())}")
@@ -554,14 +559,6 @@ def spec_kinds() -> Tuple[str, ...]:
 def registered_spec_kinds() -> Tuple[str, ...]:
     """Kinds whose classes are already imported (sorted)."""
     return tuple(sorted(_KINDS))
-
-
-def lazy_spec_kinds() -> Tuple[str, ...]:
-    """Kinds that would import their provider module on first parse
-    (sorted).  Callers that only need to *list* specs can treat these
-    from the raw JSON instead of parsing, keeping listing side-effect
-    free (see ``repro specs``)."""
-    return tuple(sorted(set(_LAZY_KINDS) - set(_KINDS)))
 
 
 def load_spec(path: os.PathLike | str) -> ExperimentSpec:

@@ -18,11 +18,10 @@ demand, exactly like the chaos campaign kind.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar, Dict, Mapping, Tuple
+from typing import ClassVar, Tuple
 
 from ..devices.cache import CACHE_POLICIES
-from ..errors import ConfigurationError
-from ..experiment.spec import ExperimentSpec
+from ..experiment.spec import ExperimentSpec, SpecRecord, _require
 
 __all__ = [
     "CacheWorkloadSpec",
@@ -40,13 +39,8 @@ ROLE_STUB = "stub"
 ROLE_TRANSIT = "transit"
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ConfigurationError(message)
-
-
 @dataclass(frozen=True)
-class DomainSpec:
+class DomainSpec(SpecRecord):
     """One administrative domain: identity, policy, cache provisioning.
 
     ``peers`` is the domain's allowed-peer list — an inter-domain
@@ -74,28 +68,9 @@ class DomainSpec:
         _require(self.name not in self.peers,
                  f"domain {self.name!r} cannot peer with itself")
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "role": self.role,
-            "peers": list(self.peers),
-            "cache_gb": self.cache_gb,
-            "cache_policy": self.cache_policy,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "DomainSpec":
-        return cls(
-            name=str(data["name"]),
-            role=str(data.get("role", ROLE_STUB)),
-            peers=tuple(str(p) for p in data.get("peers") or ()),
-            cache_gb=float(data.get("cache_gb", 0.0)),
-            cache_policy=str(data.get("cache_policy", "lru")),
-        )
-
 
 @dataclass(frozen=True)
-class CacheWorkloadSpec:
+class CacheWorkloadSpec(SpecRecord):
     """The Zipf working-set workload one federation run replays."""
 
     objects: int = 200
@@ -115,26 +90,6 @@ class CacheWorkloadSpec:
                  "workload mean_object_gb must be > 0")
         _require(self.size_sigma >= 0, "workload size_sigma must be >= 0")
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "objects": self.objects,
-            "requests_per_round": self.requests_per_round,
-            "rounds": self.rounds,
-            "alpha": self.alpha,
-            "mean_object_gb": self.mean_object_gb,
-            "size_sigma": self.size_sigma,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "CacheWorkloadSpec":
-        return cls(
-            objects=int(data.get("objects", 200)),
-            requests_per_round=int(data.get("requests_per_round", 100)),
-            rounds=int(data.get("rounds", 4)),
-            alpha=float(data.get("alpha", 1.1)),
-            mean_object_gb=float(data.get("mean_object_gb", 2.0)),
-            size_sigma=float(data.get("size_sigma", 0.6)),
-        )
 
 
 @dataclass(frozen=True)
@@ -187,31 +142,6 @@ class FederationSpec(ExperimentSpec):
         return tuple(d.name for d in self.domains
                      if d.role == ROLE_STUB and d.name != self.origin)
 
-    def _payload_dict(self) -> Dict[str, object]:
-        return {
-            "domains": [d.to_dict() for d in self.domains],
-            "origin": self.origin,
-            "workload": self.workload.to_dict(),
-            "cache_scales": list(self.cache_scales),
-            "link_gbps": self.link_gbps,
-            "link_rtt_ms": self.link_rtt_ms,
-        }
-
-    @classmethod
-    def _from_payload(cls, data: Mapping[str, object]) -> "FederationSpec":
-        return cls(
-            name=str(data["name"]),
-            seed=int(data.get("seed", 0)),
-            description=str(data.get("description", "")),
-            domains=tuple(DomainSpec.from_dict(d)
-                          for d in data.get("domains") or ()),
-            origin=str(data.get("origin", "")),
-            workload=CacheWorkloadSpec.from_dict(data.get("workload") or {}),
-            cache_scales=tuple(float(s)
-                               for s in data.get("cache_scales") or (1.0,)),
-            link_gbps=float(data.get("link_gbps", 100.0)),
-            link_rtt_ms=float(data.get("link_rtt_ms", 20.0)),
-        )
 
 
 def default_federation_spec(name: str = "federation", *,

@@ -227,9 +227,12 @@ class ExperimentServer:
                 return
             if method == "GET":
                 limit = query.get("limit")
+                if limit is not None and not limit.isdecimal():
+                    raise _HttpError(
+                        400, "limit must be a non-negative integer")
                 rows = self.service.jobs(
                     tenant=query.get("tenant"),
-                    limit=int(limit) if limit else None)
+                    limit=None if limit is None else int(limit))
                 await self._send_json(writer, 200, {"jobs": rows})
                 return
             raise _HttpError(405, f"{method} not allowed on /v1/jobs")

@@ -394,7 +394,7 @@ class ExperimentService:
             rows = [j.to_dict() for j in self._jobs.values()
                     if tenant is None or j.tenant == tenant]
         if limit is not None:
-            rows = rows[-limit:]
+            rows = rows[max(len(rows) - limit, 0):]
         return rows
 
     def wait(self, job_id: str,

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import DESIGNS, main
@@ -181,28 +183,35 @@ class TestSpecsCommand:
             assert spec.digest()[:12] in line
             assert spec.kind in line
 
-    def test_listing_imports_no_lazy_subsystems(self):
-        """`repro specs` must list campaign/federation specs from raw
-        JSON without importing repro.chaos or repro.federation — the
-        whole point of the lazy-kind registry."""
-        import subprocess
-        import sys
+    def test_malformed_campaign_is_listed_unreadable(self, tmp_path,
+                                                     capsys):
+        """A campaign with a non-integer seed is a bad row, not a
+        ValueError traceback."""
+        data = json.loads((self.SPECS / "chaos_quick.json").read_text())
+        (tmp_path / "camp.json").write_text(json.dumps(dict(data,
+                                                            seed="x")))
+        assert main(["specs", "--dir", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert "UNREADABLE: seed: expected an integer" in out
 
-        probe = (
-            "import sys\n"
-            "from repro.cli import main\n"
-            f"rc = main(['specs', '--dir', {str(self.SPECS)!r}])\n"
-            "assert rc == 0, rc\n"
-            "leaked = [m for m in ('repro.chaos', 'repro.federation')\n"
-            "          if m in sys.modules]\n"
-            "assert not leaked, f'lazy kinds imported: {leaked}'\n"
-        )
-        src = self.SPECS.parent / "src"
-        result = subprocess.run(
-            [sys.executable, "-c", probe], capture_output=True, text=True,
-            env={**__import__("os").environ, "PYTHONPATH": str(src)})
-        assert result.returncode == 0, result.stderr
-        assert "federation_quick.json" in result.stdout
+    def test_hand_written_federation_lists_its_run_digest(self, tmp_path,
+                                                          capsys):
+        """Listing parses like `repro run`: an int in a float field and
+        a missing description give the run's digest, not a hash of the
+        raw file."""
+        data = json.loads(
+            (self.SPECS / "federation_quick.json").read_text())
+        del data["description"]
+        data["link_gbps"] = 100
+        path = tmp_path / "fed.json"
+        path.write_text(json.dumps(data))
+        assert main(["specs", "--dir", str(tmp_path)]) == 0
+        listed = capsys.readouterr().out
+        assert main(["run", str(path), "--no-persist"]) == 0
+        digest = next(line.split()[-1] for line in
+                      capsys.readouterr().out.splitlines()
+                      if line.strip().startswith("spec digest:"))
+        assert digest[:12] in listed
 
     def test_unreadable_spec_flags_exit_one(self, tmp_path, capsys):
         (tmp_path / "broken.json").write_text("{not json")
@@ -213,9 +222,7 @@ class TestSpecsCommand:
         assert out.count("UNREADABLE") == 2
 
     def test_lazy_kind_with_bad_schema_flagged(self, tmp_path, capsys):
-        # Whether "federation" is still lazy (raw-JSON path) or already
-        # imported by an earlier test (eager parse), a wrong schema
-        # version must land in the UNREADABLE bucket with exit 1.
+        # A wrong schema version lands in the UNREADABLE bucket, exit 1.
         (tmp_path / "fed.json").write_text(
             '{"schema": 99, "kind": "federation", "name": "x"}')
         assert main(["specs", "--dir", str(tmp_path)]) == 1

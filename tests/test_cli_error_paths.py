@@ -57,6 +57,21 @@ class TestMalformedSpecs:
         assert rc == 2
         assert "schema" in err
 
+    def test_negative_seed(self, cli, tmp_path):
+        path = write_spec(tmp_path, "neg.json",
+                          {"kind": "scenario", "name": "x", "seed": -1})
+        rc, _, err = cli("run", path)
+        assert rc == 2
+        assert "seed must be >= 0" in err and "Traceback" not in err
+
+    def test_wrong_field_type_names_its_path(self, cli, tmp_path):
+        path = write_spec(tmp_path, "ty.json", {
+            "kind": "scenario", "name": "x",
+            "faults": [{"kind": "linecard", "at_s": "x"}]})
+        rc, _, err = cli("run", path)
+        assert rc == 2
+        assert 'faults[0].at_s: expected a number, got "x"' in err
+
     def test_chaos_rejects_wrong_spec_kind(self, cli):
         rc, _, err = cli("chaos", SPECS / "fig1_tcp_loss_quick.json")
         assert rc == 2
@@ -132,6 +147,34 @@ class TestSweepValidation:
         rc, _, err = cli("sweep", "mathis", "--rtt", "")
         assert rc == 2
         assert "--rtt" in err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda grid: grid.append(["-1", [1]]),
+         "grid[5]: target 'fig1_tcp' takes no parameter '-1'"),
+        (lambda grid: grid[1][1].append("x"),
+         'grid[1][1][3]: expected a number, got "x"'),
+        (lambda grid: grid[3][1].append(True),
+         "grid[3][1][1]: expected an integer, got true"),
+        (lambda grid: grid.pop(3), "needs parameter 'rep'"),
+        (lambda grid: grid[3][1].append(-1), "rep must be >= 0"),
+    ])
+    def test_grid_checked_against_target(self, cli, tmp_path, edit,
+                                         message):
+        data = json.loads((SPECS / "fig1_tcp_loss_quick.json").read_text())
+        edit(data["grid"])
+        rc, _, err = cli("run", write_spec(tmp_path, "g.json", data),
+                         "--no-persist")
+        assert rc == 2
+        assert message in err and "Traceback" not in err
+
+    def test_open_ended_target_takes_any_grid_name(self):
+        from repro.experiment import SweepTarget
+
+        def anything(**params):
+            return 0
+
+        SweepTarget(name="any", fn=anything).check_grid(
+            (("whatever", (1, "x")),))
 
 
 class TestGoldenDrift:

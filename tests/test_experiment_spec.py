@@ -32,8 +32,11 @@ from repro.experiment import (
 
 names = st.text(alphabet="abcdefghij-_0123456789", min_size=1, max_size=20)
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
-seconds_values = st.floats(min_value=1.0, max_value=100_000.0,
-                           allow_nan=False, allow_infinity=False)
+#: Float fields also take JSON ints (written back as floats).
+seconds_values = st.one_of(
+    st.floats(min_value=1.0, max_value=100_000.0, allow_nan=False,
+              allow_infinity=False),
+    st.integers(min_value=1, max_value=100_000))
 
 
 @st.composite
@@ -64,8 +67,9 @@ def fault_specs(draw, horizon):
 
 @st.composite
 def scenario_specs(draw):
-    until = draw(st.floats(min_value=60.0, max_value=100_000.0,
-                           allow_nan=False))
+    until = draw(st.one_of(
+        st.floats(min_value=60.0, max_value=100_000.0, allow_nan=False),
+        st.integers(min_value=60, max_value=100_000)))
     return ScenarioSpec(
         name=draw(names),
         seed=draw(seeds),
@@ -133,7 +137,9 @@ class TestRoundTrip:
     @settings(max_examples=60, deadline=None)
     @given(spec=any_spec)
     def test_json_round_trip_is_identity(self, spec):
-        assert ExperimentSpec.from_json(spec.to_json()) == spec
+        again = ExperimentSpec.from_json(spec.to_json())
+        assert again == spec
+        assert again.digest() == spec.digest()
 
     @settings(max_examples=30, deadline=None)
     @given(spec=any_spec)
@@ -219,3 +225,115 @@ class TestValidation:
                 "grid": {"rtt_ms": [1, 10]}}
         spec = ExperimentSpec.from_dict(data)
         assert spec.grid == (("rtt_ms", (1, 10)),)
+
+
+def scenario_doc(**payload):
+    return dict({"schema": SPEC_SCHEMA_VERSION, "kind": "scenario",
+                 "name": "x"}, **payload)
+
+
+class TestCodec:
+    """The type-driven codec: strict JSON types, path-named errors."""
+
+    @pytest.mark.parametrize("payload, message", [
+        ({"seed": 1.5}, "seed: expected an integer, got 1.5"),
+        ({"seed": True}, "seed: expected an integer, got true"),
+        ({"description": 1.5}, "description: expected a string, got 1.5"),
+        ({"until_s": "x"}, 'until_s: expected a number, got "x"'),
+        ({"until_s": None}, "until_s: expected a number, got null"),
+        ({"mesh": {"hosts": "dtn1"}},
+         'mesh.hosts: expected a list, got "dtn1"'),
+        ({"mesh": {"owamp_intervall_s": 5}},
+         "mesh: unknown field 'owamp_intervall_s'"),
+        ({"faults": [{"kind": "linecard", "at_s": "x"}]},
+         'faults[0].at_s: expected a number, got "x"'),
+        ({"faults": [{"kind": "linecard"}]},
+         "faults[0]: missing required field 'at_s'"),
+        ({"faults": [{"kind": "linecard", "at_s": 1.0,
+                      "params": {"loss_rate": [1]}}]},
+         "faults[0].params.loss_rate: expected a JSON scalar, got [1]"),
+        ({"faults": [{"kind": "linecard", "at_s": -1.0}]},
+         "faults[0]: fault at_s must be >= 0"),
+        ({"mesh": None}, "mesh: expected an object, got null"),
+        ({"repairs_s": [1e400]}, "repairs_s[0]: expected a number"),
+        ({"link_cuts": [{"a": "x", "b": "y", "at_s": 1, "c": 2}]},
+         "link_cuts[0]: unknown field 'c'"),
+        ({"seed": -1}, "seed must be >= 0"),
+        ({"extra": 1}, "unknown field 'extra'"),
+    ])
+    def test_malformed_fields_name_their_path(self, payload, message):
+        with pytest.raises(ConfigurationError) as exc:
+            ExperimentSpec.from_dict(scenario_doc(**payload))
+        assert message in str(exc.value)
+
+    def test_null_only_where_optional(self):
+        spec = ExperimentSpec.from_dict(scenario_doc(
+            faults=[{"kind": "linecard", "at_s": 1, "node": None}]))
+        assert spec.faults[0].node is None
+        assert spec.faults[0].at_s == 1.0
+        assert isinstance(spec.faults[0].at_s, float)
+
+    def test_missing_name_is_an_error(self):
+        with pytest.raises(ConfigurationError,
+                           match="missing required field 'name'"):
+            ExperimentSpec.from_dict({"schema": 1, "kind": "bench"})
+
+    def test_non_string_kind_is_unknown(self):
+        with pytest.raises(ConfigurationError, match="unknown spec kind"):
+            ExperimentSpec.from_dict({"schema": 1, "kind": [],
+                                      "name": "x"})
+
+    def test_float_fields_digest_as_floats(self):
+        """A spec built with an int in a float field is the same
+        experiment as its JSON round trip."""
+        spec = ScenarioSpec(name="a", until_s=5400)
+        again = ExperimentSpec.from_json(spec.to_json())
+        assert again == spec and again.digest() == spec.digest()
+        assert spec.digest() == ScenarioSpec(name="a",
+                                             until_s=5400.0).digest()
+
+    def test_params_written_as_object_stored_sorted(self):
+        fault = FaultSpec.from_dict({"kind": "cpu", "at_s": 1,
+                                     "params": {"z": 1, "a": "b"}})
+        assert fault.params == (("a", "b"), ("z", 1))
+        assert fault.to_dict()["params"] == {"a": "b", "z": 1}
+
+    def test_grid_values_are_never_converted(self):
+        spec = ExperimentSpec.from_dict({
+            "schema": 1, "kind": "sweep", "name": "g", "target": "mathis",
+            "grid": [["rtt_ms", [1, 10, 100]], ["loss", [1e-4]]]})
+        assert spec.grid == (("rtt_ms", (1, 10, 100)), ("loss", (1e-4,)))
+        assert all(type(v) is int for v in spec.grid[0][1])
+
+    def test_sweep_grid_pairs_have_two_entries(self):
+        with pytest.raises(ConfigurationError,
+                           match=r"grid\[0\]: expected a list of 2"):
+            ExperimentSpec.from_dict({
+                "schema": 1, "kind": "sweep", "name": "g",
+                "target": "mathis", "grid": [["rtt_ms"]]})
+
+    def test_sub_spec_parses_alone(self):
+        assert MeshSpec.from_dict({"owamp_packets": 5}) == \
+            MeshSpec(owamp_packets=5)
+        with pytest.raises(ConfigurationError,
+                           match="owamp_packets: expected an integer"):
+            MeshSpec.from_dict({"owamp_packets": 5.0})
+
+
+class TestCommittedSpecs:
+    def test_every_committed_spec_is_canonical(self):
+        """Each file under specs/ is exactly what its parsed spec
+        writes, so a hand edit that the codec would normalize shows."""
+        import pathlib
+
+        from repro.exec.seeding import canonical_json
+
+        root = pathlib.Path(__file__).parent.parent / "specs"
+        checked = 0
+        for path in sorted(root.glob("**/*.json")):
+            data = json.loads(path.read_text())
+            if not isinstance(data, dict) or "kind" not in data:
+                continue  # sidecar (golden.json)
+            assert canonical_json(data) == load_spec(path).to_json(), path
+            checked += 1
+        assert checked >= 7

@@ -169,6 +169,31 @@ class TestProtocolErrors:
             server.client().submit({"schema": 1, "kind": "warp",
                                     "name": "x", "seed": 1})
 
+    @pytest.mark.parametrize("limit", ["x", "-2", "1.5"])
+    def test_bad_jobs_limit_400(self, server, limit):
+        with pytest.raises(ConfigurationError, match="limit"):
+            server.client().jobs(limit=limit)
+
+    def test_jobs_limit_counts_from_the_newest(self, server):
+        client = server.client()
+        for i in range(2):
+            client.submit({"schema": 1, "kind": "sweep", "seed": 1,
+                           "name": f"limit-{i}", "target": "mathis",
+                           "grid": {"rtt_ms": [1.0], "loss": [1e-4],
+                                    "mss_bytes": [9000]}})
+        ids = [row["id"] for row in client.jobs()]
+        assert client.jobs(limit=0) == []
+        assert [row["id"] for row in client.jobs(limit=1)] == ids[-1:]
+        assert [row["id"] for row in
+                client.jobs(limit=len(ids) + 5)] == ids
+
+    def test_malformed_spec_field_400(self, server):
+        spec = json.loads((SPECS_DIR / "fig1_tcp_loss_quick.json")
+                          .read_text())
+        with pytest.raises(ConfigurationError,
+                           match="seed: expected an integer"):
+            server.client().submit(dict(spec, seed="x"))
+
     def test_bad_priority_400(self, server):
         spec = json.loads((SPECS_DIR / "fig1_tcp_loss_quick.json")
                           .read_text())

@@ -34,14 +34,6 @@ class ToySpec(ExperimentSpec):
 
     n: int = 3
 
-    def _payload_dict(self):
-        return {"n": self.n}
-
-    @classmethod
-    def _from_payload(cls, data):
-        return cls(name=str(data["name"]), seed=int(data.get("seed", 0)),
-                   n=int(data.get("n", 3)))
-
 
 def run_toy(spec, ctx, version):
     squares = [i * i for i in range(spec.n)]
