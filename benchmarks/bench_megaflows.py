@@ -43,6 +43,8 @@ N_FLOWS = quick(100_000, 5_000)
 HORIZON = quick(seconds(2), seconds(1))
 SPEEDUP_FLOOR = quick(20.0, 2.0)
 RATIO_TOL = quick(0.01, 0.05)
+#: Runs per backend in the speedup comparison; the fastest counts.
+TIMING_RUNS = 3
 
 #: End-to-end run: modest per-transfer sizes so 100k flows *finish*
 #: within a bench-sized wall budget (the matrix's aggregate is what
@@ -100,18 +102,27 @@ def test_megaflows_end_to_end():
     np.testing.assert_allclose(delivered, requested, rtol=1e-9)
 
 
+def _timed_run(backend: str):
+    """``(wall seconds, progress)`` of one matched-horizon run."""
+    sim = _build_sim(backend, n_flows=N_FLOWS)
+    t0 = time.perf_counter()
+    progress = sim.run(until=HORIZON)
+    return time.perf_counter() - t0, progress
+
+
 def test_megaflows_matched_horizon_speedup():
     """Fluid vs vectorized per-flow at the same horizon: the >=20x
-    speedup claim and the 1% delivered-bytes accuracy contract."""
-    sim_np = _build_sim("numpy", n_flows=N_FLOWS)
-    t0 = time.perf_counter()
-    numpy_progress = sim_np.run(until=HORIZON)
-    numpy_wall = time.perf_counter() - t0
+    speedup claim and the 1% delivered-bytes accuracy contract.
 
-    sim_fl = _build_sim("fluid", n_flows=N_FLOWS)
-    t0 = time.perf_counter()
-    fluid_progress = sim_fl.run(until=HORIZON)
-    fluid_wall = time.perf_counter() - t0
+    Each backend is timed as the best of ``TIMING_RUNS`` runs,
+    interleaved, so a burst of other load on the host during one run
+    does not decide the ratio."""
+    numpy_wall = fluid_wall = float("inf")
+    for _ in range(TIMING_RUNS):
+        wall, numpy_progress = _timed_run("numpy")
+        numpy_wall = min(numpy_wall, wall)
+        wall, fluid_progress = _timed_run("fluid")
+        fluid_wall = min(fluid_wall, wall)
 
     numpy_bits = _delivered_bits(numpy_progress)
     fluid_bits = _delivered_bits(fluid_progress)

@@ -144,6 +144,7 @@ class CampaignSpec(ExperimentSpec):
     def __post_init__(self) -> None:
         super().__post_init__()
         _require(self.until_s > 0, "campaign horizon until_s must be > 0")
+        self.mesh.check_horizon(self.until_s)
         _require(self.schedules >= 1, "a campaign needs schedules >= 1")
         _require(self.max_shrink >= 0, "max_shrink must be >= 0")
         _require(self.space.onset_max_s < self.until_s,

@@ -52,6 +52,7 @@ from .spec import (
     ExperimentSpec,
     FaultSpec,
     LinkCutSpec,
+    MAX_MESH_SESSIONS,
     MeshSpec,
     ScenarioSpec,
     SpecKind,
@@ -70,6 +71,7 @@ __all__ = [
     "SweepSpec",
     "BenchSpec",
     "MeshSpec",
+    "MAX_MESH_SESSIONS",
     "FaultSpec",
     "LinkCutSpec",
     "AlertRuleSpec",

@@ -60,6 +60,7 @@ __all__ = [
     "ExperimentSpec",
     "FaultSpec",
     "LinkCutSpec",
+    "MAX_MESH_SESSIONS",
     "MeshSpec",
     "ScenarioSpec",
     "SpecKind",
@@ -242,6 +243,14 @@ class SpecRecord:
 
 # -- scenario sub-specs -------------------------------------------------------
 
+#: Most OWAMP plus BWCTL sessions one host pair may run over a
+#: scenario's or campaign's horizon (``until_s / owamp_interval_s +
+#: until_s / bwctl_interval_s``).  The committed specs need at most 99
+#: (``linecard_softfail.json``: 5400 s at 60 s and 600 s); the limit
+#: leaves ten times that.
+MAX_MESH_SESSIONS = 1000
+
+
 @dataclass(frozen=True)
 class MeshSpec(SpecRecord):
     """The perfSONAR mesh of a scenario: who probes whom, how often.
@@ -262,6 +271,26 @@ class MeshSpec(SpecRecord):
         _require(self.owamp_interval_s > 0 and self.bwctl_interval_s > 0,
                  "mesh intervals must be positive")
         _require(self.owamp_packets >= 1, "owamp_packets must be >= 1")
+        _require(self.bwctl_interval_s >= self.bwctl_duration_s,
+                 f"bwctl_interval_s {self.bwctl_interval_s:g} is shorter "
+                 f"than bwctl_duration_s {self.bwctl_duration_s:g}: a "
+                 f"pair's BWCTL tests must not overlap")
+
+    def check_horizon(self, until_s: float) -> None:
+        """Reject a cadence that would schedule more than
+        :data:`MAX_MESH_SESSIONS` tests per host pair before ``until_s``.
+
+        A run's work grows as horizon over interval, so without a bound
+        a small interval makes ``repro run`` (or a ``repro serve``
+        worker) run for as long as it was asked to.
+        """
+        sessions = (until_s / self.owamp_interval_s
+                    + until_s / self.bwctl_interval_s)
+        _require(sessions <= MAX_MESH_SESSIONS,
+                 f"mesh: {sessions:.0f} OWAMP + BWCTL sessions per host "
+                 f"pair over until_s={until_s:g} exceed the limit of "
+                 f"{MAX_MESH_SESSIONS}; lengthen owamp_interval_s or "
+                 f"bwctl_interval_s")
 
 
 @dataclass(frozen=True)
@@ -395,6 +424,7 @@ class ScenarioSpec(ExperimentSpec):
     def __post_init__(self) -> None:
         super().__post_init__()
         _require(self.until_s > 0, "scenario horizon until_s must be > 0")
+        self.mesh.check_horizon(self.until_s)
         for fault in self.faults:
             _require(fault.at_s < self.until_s,
                      f"fault at t={fault.at_s}s is not before the "

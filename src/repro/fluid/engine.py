@@ -27,7 +27,11 @@ Each tick advances *classes*, not flows:
 
 Per-tick cost is O(classes + links) plus the flows born or finishing
 in that tick; total birth/death cost is O(flows log flows) over the
-whole run.  The engine is deterministic —
+whole run.  On a 1,056-class matrix numpy's per-call overhead, not
+the class count, sets the tick's cost, so each step takes a small,
+fixed number of array calls: one gather per array of the classes it
+touches, in-place updates, and one write back per array.  The engine
+is deterministic —
 loss is an expectation, not a sample — so it needs no RNG.
 
 This is the approximate tier: see :mod:`repro.fluid` for the accuracy
@@ -43,7 +47,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from ..errors import SimulationError
-from ..tcp.congestion import algorithm_key
+from ..tcp.congestion import CongestionControl, algorithm_key
 from ..tcp.simulate import _ProgressiveFiller
 from .classes import FlowClass
 
@@ -129,16 +133,17 @@ class FluidEngine:
 
         # Classes grouped by congestion-control behaviour for batch
         # updates, under the same interchangeability key as the exact
-        # kernels.
-        groups: List[Tuple[object, np.ndarray]] = []
+        # kernels: one algorithm instance per group, one group id per
+        # class.
+        self._algorithms: List[CongestionControl] = []
+        self._group_of = np.empty(n_cls, dtype=np.int64)
         seen = {}
         for c, cls in enumerate(self.classes):
-            key = algorithm_key(cls.algorithm)
-            if key not in seen:
-                seen[key] = len(groups)
-                groups.append((cls.algorithm, np.zeros(n_cls, dtype=bool)))
-            groups[seen[key]][1][c] = True
-        self._algo_groups = groups
+            g = seen.setdefault(algorithm_key(cls.algorithm),
+                                len(self._algorithms))
+            if g == len(self._algorithms):
+                self._algorithms.append(cls.algorithm)
+            self._group_of[c] = g
 
     def run(
         self,
@@ -157,7 +162,10 @@ class FluidEngine:
         rtt, mss, rwnd = self._rtt, self._mss, self._rwnd
         rwnd_cap, lossp = self._rwnd_cap, self._lossp
         streams_c, flow_cap = self._streams, self._flow_cap
+        caps, buffers = self._caps, self._buffers
         usage_f = self._usage.astype(np.float64)
+        flat_rows, flat_cols = self._filler.flat_rows, self._filler.flat_cols
+        algorithms, group_of = self._algorithms, self._group_of
         # Congestion pressure per congested tick.  With an RNG the
         # per-flow model flags each stream Bernoulli(dt/rtt); without
         # one it flags *every* stream on the congested link, so the
@@ -166,6 +174,7 @@ class FluidEngine:
         # kernels' rng-less branch).
         cong_p = (np.ones(rtt.size) if self._deterministic
                   else np.minimum(1.0, dt / rtt))
+        cong_keep = 1.0 - cong_p
         has_lossp = lossp > 0.0
         any_lossp = bool(has_lossp.any())
         # Per-flow demand cap lifted to the class: n_live * cap, only
@@ -173,6 +182,8 @@ class FluidEngine:
         capped = np.nonzero(np.isfinite(flow_cap))[0]
 
         # Global birth schedule: (start, flow) ascending across classes.
+        # Births [bp, hi) of the schedule hold the sized births
+        # [n_sized[bp], n_sized[hi]), the ones a death heap tracks.
         b_starts = np.concatenate([c.starts_s for c in classes])
         b_flows = np.concatenate([c.flow_ids for c in classes])
         b_class = np.concatenate([
@@ -182,6 +193,11 @@ class FluidEngine:
         b_starts, b_flows = b_starts[order], b_flows[order]
         b_class, b_size = b_class[order], b_size[order]
         n_births = b_starts.size
+        sized = np.isfinite(b_size)
+        n_sized = np.concatenate(([0], np.cumsum(sized)))
+        s_class, s_flow = b_class[sized], b_flows[sized]
+        s_size = b_size[sized]
+        d_birth = np.zeros(n_births)   # class D at each birth, in schedule order
         bp = 0  # birth pointer
 
         # Class population state.  Slow start is tracked as the
@@ -200,17 +216,39 @@ class FluidEngine:
         n_flows_live = np.zeros(n_cls)
         n_streams_live = np.zeros(n_cls)
         agg = np.zeros(n_cls)          # class delivered bits (conserved)
-        queues = np.zeros(self._caps.size)
+        queues = np.zeros(caps.size)
+        # Per-tick arrays, overwritten in place.
+        live = np.zeros(n_cls, dtype=bool)
+        congested = np.zeros(n_cls, dtype=bool)
+        upd = np.zeros(n_cls, dtype=bool)
+        dying_mask = np.zeros(n_cls, dtype=bool)
+        overflowing = np.zeros(caps.size, dtype=bool)
+        demands = np.zeros(n_cls)
+        rate_ps = np.zeros(n_cls)
+        inc = np.zeros(n_cls)
+        scratch = np.zeros(n_cls)
 
-        # Flow-level outcome state (touched only at birth/death).
-        started = np.zeros(n_flows, dtype=bool)
-        d_birth = np.zeros(n_flows)
-        streams_of = np.zeros(n_flows)
-        class_of = np.zeros(n_flows, dtype=np.int64)
         finish_s = np.full(n_flows, np.nan)
-        heaps: List[list] = [[] for _ in range(n_cls)]
+        # Death heaps: one per class, of each live sized member's
+        # finish threshold in cumulative per-stream bits.  A key packs
+        # (threshold, flow) into one int: a non-negative float's bits
+        # order like its value, so keys pop in (threshold, flow) order.
+        # One int per member, rather than a tuple of a float and an
+        # int, leaves a heap's sift a third of the objects to touch.
+        # ``thr_of`` holds each member's threshold by flow id, plus an
+        # infinite one for the id ``n_flows`` that stands for an empty
+        # heap; ``next_death`` is each class's least threshold.
+        id_bits = max(1, (n_flows - 1).bit_length())
+        id_mask = (1 << id_bits) - 1
+        heaps: List[List[int]] = [[] for _ in range(n_cls)]
+        thr_of = np.full(n_flows + 1, np.inf)
         next_death = np.full(n_cls, np.inf)
+        heappush, heappop = heapq.heappush, heapq.heappop
         n_unfinished = n_flows
+        # Live counts are small exact integers, so the stream count is
+        # always exactly flows x streams per flow; it and what follows
+        # from it are re-derived only on ticks that changed a count.
+        counts_changed = True
 
         now = 0.0
         next_sample = 0.0
@@ -220,33 +258,41 @@ class FluidEngine:
         for tick in range(max_ticks):
             if now >= horizon_s:
                 break
-            # Births: the start-sorted schedule's next slice.  Live
-            # counts are small exact integers, so adding them per class
-            # in one bincount equals adding them one birth at a time.
+            # Births: the start-sorted schedule's next slice.  Adding
+            # the slice's live counts in one bincount equals adding them
+            # one birth at a time.  Per-flow birth state other than the
+            # class's D at birth follows from the schedule and is filled
+            # once after the loop.
             hi = (int(np.searchsorted(b_starts, now, side="right"))
                   if bp < n_births else bp)
             if hi > bp:
-                f_new, c_new = b_flows[bp:hi], b_class[bp:hi]
-                started[f_new] = True
-                class_of[f_new] = c_new
-                streams_of[f_new] = streams_c[c_new]
-                d_birth[f_new] = D[c_new]
+                c_new = b_class[bp:hi]
+                d_birth[bp:hi] = D[c_new]
                 n_flows_live += np.bincount(c_new, minlength=n_cls)
-                n_streams_live += np.bincount(
-                    c_new, weights=streams_c[c_new], minlength=n_cls)
-                sized = np.isfinite(b_size[bp:hi])
-                if sized.any():
-                    c_sized = c_new[sized].tolist()
-                    thresholds = D[c_new[sized]] + b_size[bp:hi][sized]
-                    for c, thr, f in zip(c_sized, thresholds.tolist(),
-                                         f_new[sized].tolist()):
-                        heapq.heappush(heaps[c], (thr, f))
-                    for c in set(c_sized):
-                        next_death[c] = heaps[c][0][0]
+                s_lo, s_hi = int(n_sized[bp]), int(n_sized[hi])
+                if s_hi > s_lo:
+                    c_sized = s_class[s_lo:s_hi]
+                    thresholds = D[c_sized] + s_size[s_lo:s_hi]
+                    f_sized = s_flow[s_lo:s_hi]
+                    thr_of[f_sized] = thresholds
+                    for c, b, f in zip(c_sized.tolist(),
+                                       thresholds.view(np.int64).tolist(),
+                                       f_sized.tolist()):
+                        heappush(heaps[c], (b << id_bits) | f)
+                    # A heap's head is its least threshold.
+                    np.minimum.at(next_death, c_sized, thresholds)
                 bp = hi
+                counts_changed = True
 
-            live = n_streams_live > 0.0
-            if not live.any():
+            if counts_changed:
+                np.multiply(n_flows_live, streams_c, out=n_streams_live)
+                np.greater(n_streams_live, 0.0, out=live)
+                n_live = np.count_nonzero(live)
+                idle = np.logical_not(live).nonzero()[0]
+                live_dt = live * dt
+                per_stream = np.maximum(n_streams_live, 1.0)
+                counts_changed = False
+            if not n_live:
                 if bp < n_births:
                     now = min(float(b_starts[bp]), horizon_s)
                     continue
@@ -255,8 +301,13 @@ class FluidEngine:
                 now = horizon_s
                 continue
 
-            demands = np.where(
-                live, n_streams_live * np.minimum(W, rwnd) * mss / rtt, 0.0)
+            # Offered load: n_streams_live * min(W, rwnd) * mss / rtt,
+            # 0.0 for idle classes.
+            np.minimum(W, rwnd, out=demands)
+            np.multiply(n_streams_live, demands, out=demands)
+            demands *= mss
+            demands /= rtt
+            demands[idle] = 0.0
             if capped.size:
                 demands[capped] = np.minimum(
                     demands[capped], n_flows_live[capped] * flow_cap[capped])
@@ -266,126 +317,146 @@ class FluidEngine:
             # Virtual queues: same advance rule as the per-flow model,
             # driven by class-aggregate offered load.
             offered = demands @ usage_f
-            queues = np.maximum(0.0, queues + (offered - self._caps) * dt)
-            overflowing = queues > self._buffers
-            np.minimum(queues, self._buffers, out=queues)
+            offered -= caps
+            offered *= dt
+            queues += offered
+            np.maximum(0.0, queues, out=queues)
+            np.greater(queues, buffers, out=overflowing)
+            np.minimum(queues, buffers, out=queues)
 
-            rate_ps = np.where(live, alloc / np.maximum(n_streams_live, 1.0),
-                               0.0)
+            # Idle classes offer 0.0, so the allocator gives them 0.0,
+            # and so is their per-stream rate.
+            np.divide(alloc, per_stream, out=rate_ps)
 
             # Loss pressure: expected fraction of a class's streams that
             # flagged a loss since the last window update.  Congestion
             # contributes dt/rtt per congested tick (the per-flow model's
             # per-stream Bernoulli rate); random path loss contributes
             # its per-packet expectation over the bits moved this tick.
-            e = np.where(live & (self._usage[:, overflowing].any(axis=1)
-                                 if overflowing.any()
-                                 else np.zeros(n_cls, dtype=bool)),
-                         cong_p, 0.0)
+            # A live class is congested when it crosses an overflowing
+            # link; the flat incidence names those classes directly.
+            # P <- 1 - (1 - P) * (1 - e), where 1 - e is exactly 1.0 on
+            # a class with neither kind of loss.
+            any_congested = np.count_nonzero(overflowing) > 0
+            if any_congested:
+                congested.fill(False)
+                congested[flat_rows[overflowing[flat_cols]]] = True
+                congested &= live
+            np.subtract(1.0, P, out=P)
             if any_lossp:
+                e = (np.where(congested, cong_p, 0.0) if any_congested
+                     else np.zeros(n_cls))
                 pkts = rate_ps * dt / mss
                 e_rand = np.where(has_lossp,
                                   1.0 - (1.0 - lossp) ** pkts, 0.0)
                 e = 1.0 - (1.0 - e) * (1.0 - e_rand)
-            P = 1.0 - (1.0 - P) * (1.0 - e)
+                P *= 1.0 - e
+            elif any_congested:
+                P *= np.where(congested, cong_keep, 1.0)
+            np.subtract(1.0, P, out=P)
 
             # Deliver and harvest deaths (heap pops touch only classes
             # whose cumulative delivered crossed a member's threshold).
-            inc = rate_ps * dt
+            np.multiply(rate_ps, dt, out=inc)
             D += inc
-            agg += inc * n_streams_live
-            dying = np.nonzero(D >= next_death)[0]
+            np.multiply(inc, n_streams_live, out=scratch)
+            agg += scratch
+            np.greater_equal(D, next_death, out=dying_mask)
+            dying = dying_mask.nonzero()[0]
             if dying.size:
-                # Each class's state is read into Python floats once;
-                # every member shares the class's stream count, and
-                # ``agg`` is reduced one finisher at a time, in pop order.
-                dead, dead_at = [], []
-                end = now + dt
-                for c, d, rate, a, s in zip(
-                        dying.tolist(), D[dying].tolist(),
-                        rate_ps[dying].tolist(), agg[dying].tolist(),
-                        streams_c[dying].tolist()):
+                # Pop every due member.  Each dying class's head is due;
+                # the pops after it ("later") are rare and keep their
+                # class's pop order.  ``agg`` is reduced one finisher at
+                # a time in that order: the heads in one array step,
+                # then the later ones.
+                first, later, head_of = [], [], []
+                for c, b in zip(dying.tolist(),
+                                D[dying].view(np.int64).tolist()):
                     heap = heaps[c]
-                    popped = 0
-                    while heap and heap[0][0] <= d:
-                        thr, f = heapq.heappop(heap)
-                        over = d - thr
-                        dead.append(f)
-                        dead_at.append(end - over / rate if rate > 0.0
-                                       else end)
-                        a -= over * s
-                        popped += 1
-                    agg[c] = a
-                    n_flows_live[c] -= popped
-                    n_streams_live[c] -= popped * s
-                    n_unfinished -= popped
-                    next_death[c] = heap[0][0] if heap else np.inf
-                finish_s[dead] = dead_at
+                    first.append(heappop(heap) & id_mask)
+                    due = (b << id_bits) | id_mask   # keys of thresholds <= D
+                    while heap and heap[0] <= due:
+                        later.append((c, heappop(heap) & id_mask))
+                    head_of.append(heap[0] & id_mask if heap else n_flows)
+                # A finisher crossed its threshold ``over`` bits into the
+                # tick, at the class's per-stream rate; at no rate it
+                # finishes at the tick's end.
+                end = now + dt
+                first = np.array(first)
+                over = D[dying] - thr_of[first]
+                rate = rate_ps[dying]
+                if np.count_nonzero(rate) == rate.size:
+                    finish_s[first] = end - over / rate
+                else:
+                    finish_s[first] = end - np.divide(
+                        over, rate, out=np.zeros(rate.size), where=rate > 0.0)
+                over *= streams_c[dying]
+                agg[dying] -= over
+                n_flows_live[dying] -= 1.0
+                next_death[dying] = thr_of[head_of]
+                for c, f in later:
+                    rate_c = float(rate_ps[c])
+                    over_c = float(D[c]) - float(thr_of[f])
+                    finish_s[f] = (end - over_c / rate_c if rate_c > 0.0
+                                   else end)
+                    agg[c] = float(agg[c]) - over_c * float(streams_c[c])
+                    n_flows_live[c] -= 1.0
+                n_unfinished -= first.size + len(later)
+                counts_changed = True
 
             # Per-RTT mean-field window update: the expectation of the
-            # per-flow rule under loss fraction P.
-            rtt_clock += live * dt
-            tsl += live * dt
-            upd = live & (rtt_clock >= rtt)
-            if upd.any():
-                rtt_clock[upd] = 0.0
-                p = P[upd]
-                s = ss_frac[upd]
-                w_up = W[upd]
-                for algo, cmask in self._algo_groups:
-                    sel = upd & cmask
-                    if not sel.any():
-                        continue
-                    sub = cmask[upd]
-                    # Loss-free growth is the population mix of the two
-                    # regimes: the slow-start fraction doubles, the rest
-                    # takes the congestion-avoidance increase (windows
-                    # already past rwnd hold, like the per-flow rule).
-                    grow_ss = np.minimum(w_up[sub] * algo.slow_start_factor,
-                                         rwnd_cap[upd][sub])
-                    grow_ca = np.where(
-                        w_up[sub] <= rwnd[upd][sub],
-                        np.minimum(
-                            w_up[sub] + algo.increase_batch(
-                                w_up[sub], tsl[upd][sub], rtt[upd][sub]),
-                            rwnd_cap[upd][sub]),
-                        w_up[sub])
-                    grow_sel = s[sub] * grow_ss + (1.0 - s[sub]) * grow_ca
-                    inflight = np.minimum(w_up[sub], rwnd[upd][sub])
-                    w_loss = algo.on_loss_batch(
-                        inflight, rtt[upd][sub], rtt[upd][sub])
-                    W[sel] = p[sub] * w_loss + (1.0 - p[sub]) * grow_sel
-                ss_frac[upd] = s * (1.0 - p)
-                tsl[upd] *= 1.0 - p
-                P[upd] = 0.0
+            # per-flow rule under loss fraction P.  One gather per array,
+            # then each algorithm group reads its slice of the gathers.
+            rtt_clock += live_dt
+            tsl += live_dt
+            np.greater_equal(rtt_clock, rtt, out=upd)
+            upd &= live
+            ui = upd.nonzero()[0]
+            if ui.size:
+                p, s, w_up = P[ui], ss_frac[ui], W[ui]
+                t_up, r_up = tsl[ui], rtt[ui]
+                rw_up, cap_up = rwnd[ui], rwnd_cap[ui]
+                q = 1.0 - p
+                if len(algorithms) == 1:
+                    W[ui] = _mean_window(algorithms[0], p, q, s, w_up,
+                                         t_up, r_up, rw_up, cap_up)
+                else:
+                    g_up = group_of[ui]
+                    for g, algo in enumerate(algorithms):
+                        sub = g_up == g
+                        if np.count_nonzero(sub):
+                            W[ui[sub]] = _mean_window(
+                                algo, p[sub], q[sub], s[sub], w_up[sub],
+                                t_up[sub], r_up[sub], rw_up[sub], cap_up[sub])
+                ss_frac[ui] = s * q
+                tsl[ui] = t_up * q
+                rtt_clock[ui] = 0.0
+                P[ui] = 0.0
 
             now += dt
             if now >= next_sample:
                 next_sample = now + sample_interval_s
                 samples.append((now, float(alloc.sum())))
-            if n_unfinished == 0 and bp >= b_starts.size and not until_given:
+            if n_unfinished == 0 and bp >= n_births and not until_given:
                 break
         else:
             raise SimulationError(
                 f"multi-flow simulation did not settle within {max_ticks} ticks"
             )
 
-        # Per-flow delivered totals from the class's cumulative counter:
+        # Per-flow outcome of the births the loop reached: delivered is
         # streams * (D_at_finish - D_at_birth), clipped to the transfer
         # size.  Sums match `agg` to float roundoff by construction (the
         # death loop subtracts each finisher's overshoot).
-        per_stream_done = np.concatenate([c.per_stream_bits for c in classes])
-        flow_ids = np.concatenate([c.flow_ids for c in classes])
-        size_of = np.empty(n_flows)
-        size_of[flow_ids] = per_stream_done
-        delivered = np.where(
-            started,
-            streams_of * np.minimum(D[class_of] - d_birth, size_of),
-            0.0)
+        born, c_born = b_flows[:bp], b_class[:bp]
+        started = np.zeros(n_flows, dtype=bool)
+        started[born] = True
+        delivered = np.zeros(n_flows)
+        delivered[born] = streams_c[c_born] * np.minimum(
+            D[c_born] - d_birth[:bp], b_size[:bp])
 
-        retired = sum(
-            1 for c in classes
-            if np.isfinite(finish_s[c.flow_ids]).all())
+        unfinished_in = np.bincount(b_class[np.isnan(finish_s[b_flows])],
+                                    minlength=n_cls)
         self.queues = queues
         return FluidResult(
             now_s=now,
@@ -396,6 +467,27 @@ class FluidEngine:
             queues_bits=queues,
             class_delivered_bits=agg,
             class_population=np.array([c.population for c in classes]),
-            classes_retired=retired,
+            classes_retired=int(np.count_nonzero(unfinished_in == 0)),
             samples=samples,
         )
+
+
+def _mean_window(algo: CongestionControl, p: np.ndarray, q: np.ndarray,
+                 s: np.ndarray, w: np.ndarray, tsl: np.ndarray,
+                 rtt: np.ndarray, rwnd: np.ndarray,
+                 rwnd_cap: np.ndarray) -> np.ndarray:
+    """One algorithm group's updated mean window: ``p * on_loss(w) +
+    q * grow(w)``, for loss fraction ``p``, ``q = 1 - p`` and slow-start
+    fraction ``s``."""
+    # Loss-free growth is the population mix of the two regimes: the
+    # slow-start fraction doubles, the rest takes the congestion-
+    # avoidance increase (windows already past rwnd hold, like the
+    # per-flow rule).
+    grow_ss = np.minimum(w * algo.slow_start_factor, rwnd_cap)
+    grow_ca = np.where(
+        w <= rwnd,
+        np.minimum(w + algo.increase_batch(w, tsl, rtt), rwnd_cap),
+        w)
+    grow = s * grow_ss + (1.0 - s) * grow_ca
+    w_loss = algo.on_loss_batch(np.minimum(w, rwnd), rtt, rtt)
+    return p * w_loss + q * grow

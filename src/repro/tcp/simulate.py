@@ -440,11 +440,14 @@ class MultiFlowSimulation:
             self._algorithm_of = np.zeros(len(labels), dtype=np.int64)
         need_rng = rng is None and self.backend != "fluid"
         for label, spec in zip(labels, self._specs):
-            try:
-                key = (spec.src, spec.dst, tuple(sorted(spec.policy.items())))
-                hash(key)
-            except TypeError:
-                key = (spec.src, spec.dst, repr(sorted(spec.policy.items())))
+            policy = ()
+            if spec.policy:
+                try:
+                    policy = tuple(sorted(spec.policy.items()))
+                    hash(policy)
+                except TypeError:
+                    policy = repr(sorted(spec.policy.items()))
+            key = (spec.src, spec.dst, policy)
             p = path_index.get(key)
             if p is None:
                 path = topology.path(spec.src, spec.dst, **spec.policy)
@@ -604,9 +607,9 @@ class MultiFlowSimulation:
                     result.finish_s[lo:hi].tolist()):
                 if started:
                     prog.started = True
-                prog.delivered = bits(delivered)
+                prog.delivered = DataSize(delivered)
                 if math.isfinite(finish):
-                    prog.finish_time = seconds(finish)
+                    prog.finish_time = TimeDelta(finish)
         return result.now_s
 
     # -- vectorized loop -------------------------------------------------------

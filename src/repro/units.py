@@ -76,6 +76,14 @@ _BIN = {"k": 2**10, "m": 2**20, "g": 2**30, "t": 2**40, "p": 2**50}
 
 
 def _check_number(value: object, what: str) -> float:
+    """``value`` as a float, if it is a real number and not NaN.
+
+    The unit types' ``__post_init__`` skip this check for a Python
+    ``float`` that is ``>= 0.0``: such a value (``-0.0`` and ``inf``
+    included) would come back unchanged and pass the sign test, so it
+    is stored as given.  Everything else (bools, ints, numpy scalars,
+    NaN, negatives) takes this path.
+    """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise UnitError(f"{what} must be a real number, got {type(value).__name__}")
     v = float(value)
@@ -97,6 +105,8 @@ class DataSize:
     bits: float
 
     def __post_init__(self) -> None:
+        if type(self.bits) is float and self.bits >= 0.0:
+            return  # already canonical: see _check_number
         v = _check_number(self.bits, "DataSize.bits")
         if v < 0:
             raise UnitError(f"DataSize must be non-negative, got {v} bits")
@@ -197,6 +207,8 @@ class DataRate:
     bps: float
 
     def __post_init__(self) -> None:
+        if type(self.bps) is float and self.bps >= 0.0:
+            return  # already canonical: see _check_number
         v = _check_number(self.bps, "DataRate.bps")
         if v < 0:
             raise UnitError(f"DataRate must be non-negative, got {v} bps")
@@ -290,6 +302,8 @@ class TimeDelta:
     s: float
 
     def __post_init__(self) -> None:
+        if type(self.s) is float and self.s >= 0.0:
+            return  # already canonical: see _check_number
         v = _check_number(self.s, "TimeDelta.s")
         if v < 0:
             raise UnitError(f"TimeDelta must be non-negative, got {v} s")

@@ -72,6 +72,26 @@ class TestMalformedSpecs:
         assert rc == 2
         assert 'faults[0].at_s: expected a number, got "x"' in err
 
+    @pytest.mark.parametrize("mesh,message", [
+        # Tests of one pair would overlap: rejected at parse time (a run
+        # of chaos_quick.json with this cadence used to take 14 s).
+        ({"bwctl_interval_s": 1.5},
+         "mesh: bwctl_interval_s 1.5 is shorter than bwctl_duration_s 10"),
+        # More than MAX_MESH_SESSIONS tests per pair over the horizon.
+        ({"owamp_interval_s": 1.4},
+         "OWAMP + BWCTL sessions per host pair over until_s="),
+    ])
+    @pytest.mark.parametrize("spec", ["chaos_quick.json",
+                                      "linecard_softfail.json"])
+    def test_unbounded_mesh_cadence_rejected(self, cli, tmp_path, spec,
+                                             mesh, message):
+        payload = json.loads((SPECS / spec).read_text())
+        payload["mesh"].update(mesh)
+        rc, _, err = cli("run", write_spec(tmp_path, spec, payload),
+                         "--no-persist")
+        assert rc == 2
+        assert message in err and "Traceback" not in err
+
     def test_chaos_rejects_wrong_spec_kind(self, cli):
         rc, _, err = cli("chaos", SPECS / "fig1_tcp_loss_quick.json")
         assert rc == 2

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.experiment import (
+    MAX_MESH_SESSIONS,
     SPEC_SCHEMA_VERSION,
     AlertRuleSpec,
     BenchSpec,
@@ -41,11 +42,14 @@ seconds_values = st.one_of(
 
 @st.composite
 def mesh_specs(draw):
+    # A pair's BWCTL tests may not overlap: interval >= duration.
+    duration = draw(seconds_values)
     return MeshSpec(
         hosts=tuple(draw(st.lists(names, max_size=3))),
         owamp_interval_s=draw(seconds_values),
-        bwctl_interval_s=draw(seconds_values),
-        bwctl_duration_s=draw(seconds_values),
+        bwctl_interval_s=draw(seconds_values.filter(lambda v: v >= duration)
+                              | st.just(duration)),
+        bwctl_duration_s=duration,
         owamp_packets=draw(st.integers(min_value=1, max_value=100_000)),
         algorithm=draw(st.sampled_from(["reno", "htcp", "cubic"])),
     )
@@ -67,9 +71,14 @@ def fault_specs(draw, horizon):
 
 @st.composite
 def scenario_specs(draw):
+    mesh = draw(mesh_specs())
+    # The horizon holds at most MAX_MESH_SESSIONS tests per host pair
+    # (intervals are >= 1 s, so the bound is never below 500 s).
+    per_s = 1.0 / mesh.owamp_interval_s + 1.0 / mesh.bwctl_interval_s
+    longest = min(100_000.0, MAX_MESH_SESSIONS / per_s * (1 - 1e-9))
     until = draw(st.one_of(
-        st.floats(min_value=60.0, max_value=100_000.0, allow_nan=False),
-        st.integers(min_value=60, max_value=100_000)))
+        st.floats(min_value=60.0, max_value=longest, allow_nan=False),
+        st.integers(min_value=60, max_value=int(longest))))
     return ScenarioSpec(
         name=draw(names),
         seed=draw(seeds),
@@ -77,7 +86,7 @@ def scenario_specs(draw):
         design=draw(st.sampled_from(
             ["simple-science-dmz", "big-data-site", "colorado-campus"])),
         until_s=until,
-        mesh=draw(mesh_specs()),
+        mesh=mesh,
         faults=tuple(draw(st.lists(fault_specs(until), max_size=3))),
         repairs_s=tuple(draw(st.lists(seconds_values, max_size=2))),
         link_cuts=tuple(

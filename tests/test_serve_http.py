@@ -194,6 +194,13 @@ class TestProtocolErrors:
                            match="seed: expected an integer"):
             server.client().submit(dict(spec, seed="x"))
 
+    def test_unbounded_mesh_cadence_400(self, server):
+        spec = json.loads((SPECS_DIR / "chaos_quick.json").read_text())
+        spec["mesh"]["bwctl_interval_s"] = 1.5
+        with pytest.raises(ConfigurationError,
+                           match="mesh: bwctl_interval_s 1.5 is shorter"):
+            server.client().submit(spec)
+
     def test_bad_priority_400(self, server):
         spec = json.loads((SPECS_DIR / "fig1_tcp_loss_quick.json")
                           .read_text())

@@ -1,6 +1,8 @@
 """Tests for repro.units: constructors, arithmetic, parsing, invariants."""
 
+import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -112,6 +114,58 @@ class TestDataSizeArithmetic:
     def test_human_rendering(self):
         assert MB(1.25).human() == "1.25 MB"
         assert GB(239.5).human() == "239.5 GB"
+
+
+class TestConstructionEdgeCases:
+    """Every unit type stores what ``_check_number`` would return, on its
+    fast path (a non-negative Python float, stored as given) and off it
+    (everything else)."""
+
+    TYPES = [(DataSize, "bits"), (DataRate, "bps"), (TimeDelta, "s")]
+
+    @pytest.mark.parametrize("cls,attr", TYPES)
+    def test_bool_rejected(self, cls, attr):
+        for flag in (True, False):
+            with pytest.raises(UnitError, match="real number, got bool"):
+                cls(flag)
+
+    @pytest.mark.parametrize("cls,attr", TYPES)
+    def test_int_stored_as_float(self, cls, attr):
+        value = getattr(cls(3), attr)
+        assert type(value) is float and value == 3.0
+
+    @pytest.mark.parametrize("cls,attr", TYPES)
+    def test_numpy_float_stored_as_python_float(self, cls, attr):
+        value = getattr(cls(np.float64(2.5)), attr)
+        assert type(value) is float and value == 2.5
+        with pytest.raises(UnitError, match="non-negative"):
+            cls(np.float64(-2.5))
+
+    @pytest.mark.parametrize("cls,attr", TYPES)
+    def test_nan_rejected(self, cls, attr):
+        for nan in (float("nan"), np.float64("nan")):
+            with pytest.raises(UnitError, match="NaN"):
+                cls(nan)
+
+    @pytest.mark.parametrize("cls,attr", TYPES)
+    def test_negative_rejected(self, cls, attr):
+        for negative in (-1.0, -1, -1e-300, float("-inf")):
+            with pytest.raises(UnitError, match="non-negative"):
+                cls(negative)
+
+    @pytest.mark.parametrize("cls,attr", TYPES)
+    def test_negative_zero_kept(self, cls, attr):
+        value = getattr(cls(-0.0), attr)
+        assert value == 0.0 and math.copysign(1.0, value) == -1.0
+
+    @pytest.mark.parametrize("cls,attr", TYPES)
+    def test_infinity_kept(self, cls, attr):
+        assert getattr(cls(float("inf")), attr) == math.inf
+
+    @pytest.mark.parametrize("cls,attr", TYPES)
+    def test_float_stored_as_given(self, cls, attr):
+        value = 1.5e9
+        assert getattr(cls(value), attr) is value
 
 
 class TestDataRate:
