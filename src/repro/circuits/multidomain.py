@@ -23,9 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from ..errors import CapacityError, ConfigurationError, RoutingError
+from ..netsim.graph import Graph, NoPath
 from ..netsim.node import FlowContext
 from ..netsim.topology import PathProfile, Topology
 from ..units import DataRate, DataSize, TimeDelta
@@ -100,8 +99,7 @@ class InterDomainController:
             if d.name in self._domains:
                 raise ConfigurationError(f"duplicate domain {d.name!r}")
             self._domains[d.name] = d
-        self._graph = nx.Graph()
-        self._graph.add_nodes_from(self._domains)
+        self._graph = Graph(self._domains)
         for a, b, exchange in peerings:
             for name in (a, b):
                 if name not in self._domains:
@@ -113,6 +111,8 @@ class InterDomainController:
                         f"{name!r}; peerings need a shared demarcation node"
                     )
             self._graph.add_edge(a, b, exchange=exchange)
+        self._exchanges = frozenset(
+            data["exchange"] for _, _, data in self._graph.edges())
         self._counter = 0
         self._active: List[EndToEndCircuit] = []
 
@@ -133,13 +133,12 @@ class InterDomainController:
         return owners[0]
 
     def _is_exchange(self, node: str) -> bool:
-        return any(data["exchange"] == node
-                   for _, _, data in self._graph.edges(data=True))
+        return node in self._exchanges
 
     def domain_route(self, src_domain: str, dst_domain: str) -> List[str]:
         try:
-            return nx.shortest_path(self._graph, src_domain, dst_domain)
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
+            return self._graph.shortest_path(src_domain, dst_domain)
+        except NoPath:
             raise RoutingError(
                 f"no peering route from domain {src_domain!r} to "
                 f"{dst_domain!r}"
@@ -174,7 +173,7 @@ class InterDomainController:
         entry = src_host
         for i, domain_name in enumerate(route):
             if i < len(route) - 1:
-                exchange = self._graph[domain_name][route[i + 1]]["exchange"]
+                exchange = self._graph.edge(domain_name, route[i + 1])["exchange"]
                 endpoints.append((domain_name, entry, exchange))
                 entry = exchange
             else:

@@ -22,14 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-import networkx as nx
-
 from ..circuits.multidomain import Domain, InterDomainController
 from ..circuits.oscars import OscarsService
 from ..devices.cache import CacheDevice
 from ..dtn.host import attach_profile, tuned_dtn
 from ..dtn.storage import ParallelFilesystem
 from ..errors import ConfigurationError, RoutingError
+from ..netsim.graph import Graph, NoPath
 from ..netsim.link import JUMBO_MTU, Link
 from ..netsim.node import Host, Router
 from ..netsim.topology import PathProfile, Topology
@@ -79,7 +78,7 @@ class Federation:
         self.idc = InterDomainController(
             [d.as_circuit_domain() for d in self.domains.values()],
             [(a, b, exchange_name(a, b))
-             for a, b in self._peering_graph.edges],
+             for a, b, _ in self._peering_graph.edges()],
         )
 
     # -- construction ------------------------------------------------------
@@ -111,10 +110,9 @@ class Federation:
                 site_host=site.name, border=border.name, cache=cache,
             )
 
-    def _check_peering(self) -> "nx.Graph":
+    def _check_peering(self) -> Graph:
         """Mutual-consent peering graph; exchange routers added to both."""
-        graph = nx.Graph()
-        graph.add_nodes_from(self.domains)
+        graph = Graph(self.domains)
         spec = self.spec
         link_rate = Gbps(spec.link_gbps)
         # Each peering crossing contributes half the configured RTT
@@ -129,7 +127,7 @@ class Federation:
                         f"{peer!r} but {peer!r} does not list "
                         f"{dom.name!r} back"
                     )
-                if graph.has_edge(dom.name, peer):
+                if graph.edge(dom.name, peer) is not None:
                     continue
                 ix = exchange_name(dom.name, peer)
                 for side in (dom.name, peer):
@@ -154,14 +152,11 @@ class Federation:
                 raise ConfigurationError(f"unknown domain {name!r}")
         if src == dst:
             return [src]
-        admissible = nx.subgraph_view(
-            self._peering_graph,
-            filter_node=lambda n: (
-                n in (src, dst) or self.domains[n].role == ROLE_TRANSIT),
-        )
         try:
-            return nx.shortest_path(admissible, src, dst)
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
+            return self._peering_graph.shortest_path(
+                src, dst, node_ok=lambda n: (
+                    n in (src, dst) or self.domains[n].role == ROLE_TRANSIT))
+        except NoPath:
             raise RoutingError(
                 f"no policy-compliant route from domain {src!r} to "
                 f"{dst!r} (stubs never transit)"

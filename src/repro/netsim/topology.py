@@ -19,10 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-import networkx as nx
-
 from ..errors import ConfigurationError, RoutingError, TopologyError
 from ..units import DataRate, DataSize, TimeDelta
+from .graph import Graph, NoPath
 from .link import Link
 from .node import FlowContext, Host, Node, PathElement
 
@@ -162,7 +161,7 @@ class Topology:
         if not name:
             raise TopologyError("topology requires a name")
         self.name = name
-        self._graph = nx.Graph()
+        self._graph = Graph()
         self._nodes: Dict[str, Node] = {}
         self._routes: Dict[tuple, Path] = {}
 
@@ -183,7 +182,7 @@ class Topology:
         na, nb = self._resolve(a), self._resolve(b)
         if na.name == nb.name:
             raise TopologyError(f"cannot connect node {na.name!r} to itself")
-        if self._graph.has_edge(na.name, nb.name):
+        if self._graph.edge(na.name, nb.name) is not None:
             raise TopologyError(
                 f"nodes {na.name!r} and {nb.name!r} are already connected; "
                 "parallel links are modelled as separate intermediate nodes"
@@ -197,7 +196,7 @@ class Topology:
 
     def remove_link(self, a, b) -> None:
         na, nb = self._resolve(a), self._resolve(b)
-        if not self._graph.has_edge(na.name, nb.name):
+        if self._graph.edge(na.name, nb.name) is None:
             raise TopologyError(f"no link between {na.name!r} and {nb.name!r}")
         self._graph.remove_edge(na.name, nb.name)
         self._routes.clear()
@@ -234,13 +233,13 @@ class Topology:
 
     def link_between(self, a, b) -> Link:
         na, nb = self._resolve(a), self._resolve(b)
-        data = self._graph.get_edge_data(na.name, nb.name)
+        data = self._graph.edge(na.name, nb.name)
         if data is None:
             raise TopologyError(f"no link between {na.name!r} and {nb.name!r}")
         return data["link"]
 
     def links(self) -> List[Link]:
-        return [d["link"] for _, _, d in self._graph.edges(data=True)]
+        return [d["link"] for _, _, d in self._graph.edges()]
 
     @property
     def node_count(self) -> int:
@@ -248,7 +247,7 @@ class Topology:
 
     @property
     def link_count(self) -> int:
-        return self._graph.number_of_edges()
+        return sum(1 for _ in self._graph.edges())
 
     # -- routing --------------------------------------------------------------------
     def path(
@@ -288,8 +287,10 @@ class Topology:
     def _route(self, src: str, dst: str, require: frozenset,
                forbid_l: frozenset, forbid_nt: frozenset,
                forbid_nk: frozenset, via: Tuple[str, ...]) -> Path:
-        def link_ok(u: str, v: str, data: dict) -> bool:
-            link: Link = data["link"]
+        adj = self._graph.adj
+
+        def link_ok(u: str, v: str) -> bool:
+            link: Link = adj[u][v]["link"]
             if require and not require <= link.tags:
                 return False
             if forbid_l and link.tags & forbid_l:
@@ -306,26 +307,25 @@ class Topology:
                 return False
             return True
 
-        # An unconstrained query skips the filtered view, whose filters
-        # call back into Python for every node and edge it visits.
-        view = self._graph
-        if require or forbid_l or forbid_nt or forbid_nk:
-            view = nx.subgraph_view(
-                view, filter_node=node_ok,
-                filter_edge=lambda u, v: link_ok(u, v, self._graph[u][v]))
+        # An unconstrained query runs without the filters, which call back
+        # into Python for every node and edge the search visits.
+        constrained = require or forbid_l or forbid_nt or forbid_nk
         waypoints = (src,) + via + (dst,)
         names: List[str] = [src]
         for a, b in zip(waypoints, waypoints[1:]):
             try:
-                seg = nx.shortest_path(view, a, b, weight="weight")
-            except (nx.NetworkXNoPath, nx.NodeNotFound):
+                seg = self._graph.shortest_path(
+                    a, b, weight="weight",
+                    node_ok=node_ok if constrained else None,
+                    edge_ok=link_ok if constrained else None)
+            except NoPath:
                 raise RoutingError(
                     f"no route from {a!r} to {b!r} in {self.name!r} under the "
                     f"given policy constraints"
                 ) from None
             names.extend(seg[1:])
         nodes = tuple(self._nodes[n] for n in names)
-        links = tuple(self._graph[u][v]["link"] for u, v in zip(names, names[1:]))
+        links = tuple(adj[u][v]["link"] for u, v in zip(names, names[1:]))
         return Path(nodes=nodes, links=links)
 
     # -- profiling -----------------------------------------------------------------

@@ -163,8 +163,8 @@ class TestWanBackbone:
                 topo = wan_backbone(n, chord_every=chord_every)
                 edges = [[u, v, d["link"].rate.bps, d["link"].delay.s,
                           d["link"].mtu.bits]
-                         for u, v, d in topo._graph.edges(data=True)]
-                text = json.dumps([list(topo._graph.nodes), edges])
+                         for u, v, d in topo._graph.edges()]
+                text = json.dumps([list(topo._graph.adj), edges])
                 digests[f"{n}/{chord_every}"] = hashlib.sha256(
                     text.encode()).hexdigest()
         assert digests["12/3"] == (
