@@ -48,7 +48,6 @@ __all__ = [
     "load_baseline",
     "run_scenario",
     "run_suite",
-    "run_suite_from_spec",
     "select",
     "write_json",
 ]
@@ -393,20 +392,6 @@ def run_suite(names: Optional[Sequence[str]] = None, *, repeats: int = 3,
         "results": {name: ratio * calibration
                     for name, ratio in ratios.items()},
     }
-
-
-def run_suite_from_spec(spec, *,
-                        progress: Optional[Callable[[str, float], None]]
-                        = None) -> Dict[str, object]:
-    """Run the suite a :class:`repro.experiment.BenchSpec` pins down.
-
-    Duck-typed on ``scenarios``/``repeats``/``quick`` so this module
-    never imports :mod:`repro.experiment` (which imports the scenario
-    layer); the experiment runner calls in the other direction.
-    """
-    names = list(spec.scenarios) or None
-    return run_suite(names, repeats=spec.repeats, quick=spec.quick,
-                     progress=progress)
 
 
 # -- baseline I/O and comparison ----------------------------------------------

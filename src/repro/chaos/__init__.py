@@ -34,7 +34,7 @@ from .oracles import (
     register_oracle,
 )
 from .report import build_report, render_report
-from .runner import CampaignResult, ScheduleRecord, run_campaign
+from .runner import CampaignResult, ScheduleRecord, replay, run_campaign
 from .sample import sample_schedule, sample_schedules, schedule_seed
 from .shrink import candidate_removals, shrink_schedule
 from .spec import CampaignSpec, FaultSpaceSpec, OracleSpec, TransferProbeSpec
@@ -60,6 +60,7 @@ __all__ = [
     "get_oracle",
     "register_oracle",
     "render_report",
+    "replay",
     "run_campaign",
     "sample_schedule",
     "sample_schedules",

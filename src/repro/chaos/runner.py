@@ -13,6 +13,7 @@ error ordering.
 The worker function :func:`_campaign_point` is the unit of caching: one
 schedule in, one JSON record out — the scenario outcome summary, every
 oracle violation, and the optional DTN transfer-probe record.
+:func:`replay` judges one given schedule the same way.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import numpy as np
 
 from ..errors import ConfigurationError, ReproError
 from ..exec.seeding import canonical_json, derive_seed
+from ..experiment.manifest import package_code_version
 from ..experiment.runner import RunOutput, _outcome_payload
 from ..experiment.spec import ExperimentSpec, ScenarioSpec, register_spec_kind
 from .oracles import (
@@ -38,7 +40,7 @@ from .sample import sample_schedules
 from .shrink import shrink_schedule
 from .spec import CampaignSpec, OracleSpec, TransferProbeSpec
 
-__all__ = ["CampaignResult", "ScheduleRecord", "run_campaign"]
+__all__ = ["CampaignResult", "ScheduleRecord", "replay", "run_campaign"]
 
 
 @dataclass(frozen=True)
@@ -72,10 +74,11 @@ class CampaignResult:
         return [r for r in self.records if not r.ok]
 
 
-def _oracle_items(spec: CampaignSpec) -> List[Tuple[str, Dict[str, object]]]:
-    """The campaign's resolved oracle set, names validated up front."""
-    if spec.oracles:
-        items = [(o.name, o.param_mapping()) for o in spec.oracles]
+def _oracle_items(oracles: Sequence[OracleSpec]
+                  ) -> List[Tuple[str, Dict[str, object]]]:
+    """``oracles`` resolved (() = the defaults), names checked up front."""
+    if oracles:
+        items = [(o.name, o.param_mapping()) for o in oracles]
     else:
         items = [(name, {}) for name in default_oracles()]
     for name, _ in items:
@@ -180,6 +183,18 @@ def _campaign_point(spec: str, oracles: str,
     return result
 
 
+def _judge(runner, schedules: Sequence[ScenarioSpec], oracle_items: list,
+           transfer: Optional[TransferProbeSpec]) -> list:
+    """Run ``schedules`` as :func:`_campaign_point` calls on ``runner``:
+    the one place a schedule's cache key is built."""
+    oracles = canonical_json([[name, params]
+                              for name, params in oracle_items])
+    probe = canonical_json(None if transfer is None else transfer.to_dict())
+    return runner.map(_campaign_point, [
+        {"spec": s.to_json(), "oracles": oracles, "transfer": probe}
+        for s in schedules])
+
+
 def _schedule_fault_payload(spec: ScenarioSpec) -> List[Dict[str, object]]:
     return [
         {"kind": f.kind, "node": f.node, "at_s": f.at_s}
@@ -204,11 +219,7 @@ def run_campaign(spec: CampaignSpec, ctx, version: str):
     from .report import build_report
 
     tracer = ctx.tracer
-    oracle_items = _oracle_items(spec)
-    oracles_json = canonical_json(
-        [[name, params] for name, params in oracle_items])
-    transfer_json = canonical_json(
-        spec.transfer.to_dict() if spec.transfer is not None else None)
+    oracle_items = _oracle_items(spec.oracles)
 
     schedules = sample_schedules(spec)
     if tracer.enabled:
@@ -217,9 +228,7 @@ def run_campaign(spec: CampaignSpec, ctx, version: str):
                      oracles=[name for name, _ in oracle_items])
 
     runner = ctx.runner(code_version=version)
-    points = [{"spec": s.to_json(), "oracles": oracles_json,
-               "transfer": transfer_json} for s in schedules]
-    outcomes = runner.map(_campaign_point, points)
+    outcomes = _judge(runner, schedules, oracle_items, spec.transfer)
 
     records: List[ScheduleRecord] = []
     for i, (schedule, outcome) in enumerate(zip(schedules, outcomes)):
@@ -246,9 +255,7 @@ def run_campaign(spec: CampaignSpec, ctx, version: str):
     if spec.shrink and failing:
         def evaluate(candidates: Sequence[ScenarioSpec]
                      ) -> List[Dict[str, List[str]]]:
-            outs = runner.map(_campaign_point, [
-                {"spec": c.to_json(), "oracles": oracles_json,
-                 "transfer": transfer_json} for c in candidates])
+            outs = _judge(runner, candidates, oracle_items, spec.transfer)
             return [o.value["violations"] for o in outs]
 
         for record in failing[:spec.max_shrink]:
@@ -284,6 +291,21 @@ def run_campaign(spec: CampaignSpec, ctx, version: str):
         tracer.event("chaos", "campaign-end", **summary)
     value = CampaignResult(spec=spec, report=report, records=records)
     return RunOutput(report, summary, value, artifacts=extra_artifacts)
+
+
+def replay(spec: ScenarioSpec, oracles: Sequence[OracleSpec], ctx
+           ) -> Tuple[List[str], Dict[str, object]]:
+    """Judge one schedule against ``oracles`` (() = the defaults).
+
+    ``spec`` is a concrete schedule, e.g. a shrunk ``repro-*.json``
+    artifact; it runs with the worker function, exec runner and cache
+    key a campaign gives it.  Returns the judged oracle names and the
+    point's record (``summary``, ``violations``, ``transfer``).
+    """
+    oracle_items = _oracle_items(oracles)
+    outcome, = _judge(ctx.runner(code_version=package_code_version()),
+                      [spec], oracle_items, None)
+    return [name for name, _ in oracle_items], outcome.value
 
 
 def _render_campaign(result) -> str:

@@ -13,7 +13,8 @@ same seed-tree discipline the sweep layer uses — so:
   it *is* an ordinary runnable spec.
 
 Sampled times are quantized to 0.1 s so the JSON artifacts stay
-readable and digests don't hinge on float formatting edge cases.
+readable and digests don't hinge on float formatting edge cases; a time
+that would round up to the horizon rounds down instead.
 """
 
 from __future__ import annotations
@@ -41,6 +42,12 @@ def schedule_seed(spec: CampaignSpec, index: int) -> int:
     """The derived seed for campaign schedule ``index``."""
     return derive_seed(spec.seed,
                        {"campaign": spec.name, "schedule": index})
+
+
+def _draw_time(rng, lo: float, hi: float, until_s: float) -> float:
+    """A uniform time in ``[lo, hi]`` to 0.1 s, never up to ``until_s``."""
+    t = round(float(rng.uniform(lo, hi)), 1)
+    return t if t < until_s else round(t - 0.1, 1)
 
 
 def _candidate_nodes(spec: CampaignSpec) -> Tuple[Tuple[str, ...],
@@ -112,8 +119,8 @@ def sample_schedule(spec: CampaignSpec, index: int, *,
         else:
             sites = nodes
         node = sites[int(rng.integers(len(sites)))]
-        onset = round(float(rng.uniform(space.onset_min_s,
-                                        space.onset_max_s)), 1)
+        onset = _draw_time(rng, space.onset_min_s, space.onset_max_s,
+                           spec.until_s)
         faults.append(FaultSpec(kind=kind, at_s=onset, node=node))
     faults.sort(key=lambda f: (f.at_s, f.kind, f.node or ""))
 
@@ -121,13 +128,13 @@ def sample_schedule(spec: CampaignSpec, index: int, *,
     if float(rng.random()) < space.repair_fraction:
         lo = space.onset_max_s
         hi = max(lo, spec.until_s - 0.1)
-        repairs = (round(float(rng.uniform(lo, hi)), 1),)
+        repairs = (_draw_time(rng, lo, hi, spec.until_s),)
 
     cuts: Tuple[LinkCutSpec, ...] = ()
     if space.cuts and float(rng.random()) < space.cut_fraction:
         a, b = space.cuts[int(rng.integers(len(space.cuts)))]
-        cut_at = round(float(rng.uniform(space.onset_min_s,
-                                         space.onset_max_s)), 1)
+        cut_at = _draw_time(rng, space.onset_min_s, space.onset_max_s,
+                            spec.until_s)
         cuts = (LinkCutSpec(a=a, b=b, at_s=cut_at),)
 
     return ScenarioSpec(

@@ -8,7 +8,7 @@ Gives operators the library's main workflows without writing Python:
 * ``mathis``   — Eq 1/Eq 2 calculator (throughput, required window);
 * ``upgrade``  — plan + apply the Science DMZ upgrade to the baseline
   campus and show the before/after audits;
-* ``trace``    — run a traced soft-failure scenario and export the
+* ``trace``    — run a traced soft-failure scenario spec and export its
   event log (Chrome ``trace_event`` JSON + optional JSONL);
 * ``sweep``    — parallel, cacheable parameter studies (Figure 1's
   loss×RTT grid from the command line), a front end that builds a
@@ -17,11 +17,11 @@ Gives operators the library's main workflows without writing Python:
   (``specs/*.json``) through the experiment layer, writing a
   provenance manifest; ``--golden`` gates on recorded digests;
 * ``chaos``    — run a fault campaign against its invariant oracles
-  through the ``run`` path (or replay a single shrunk schedule
-  artifact); exits 1 on any oracle violation;
+  through the ``run`` path (or replay one shrunk schedule through the
+  campaign's point function); exits 1 on any oracle violation;
 * ``specs``    — list the spec files in a directory with their digests;
-* ``bench``    — time the simulator's hot paths and gate against the
-  committed performance baseline (``benchmarks/baseline.json``);
+* ``bench``    — time the simulator's hot paths (a bench spec, run the
+  ``run`` way) and gate against ``benchmarks/baseline.json``;
 * ``serve``    — run the multi-tenant experiment service (HTTP JSON
   API, bounded fair queue, shared result cache; SIGTERM drains
   gracefully);
@@ -148,11 +148,14 @@ def _print_run(result, ctx: RunContext, stats: bool) -> None:
     if result.manifest_path:
         print(f"  artifacts:       {result.artifact_dir}/")
     if stats:
-        print()
-        print("execution stats:")
-        counters = ctx.stats()
-        for key in sorted(counters):
-            print(f"  {key}: {counters[key]}")
+        _print_stats(ctx)
+
+
+def _print_stats(ctx: RunContext) -> None:
+    print("\nexecution stats:")
+    counters = ctx.stats()
+    for key in sorted(counters):
+        print(f"  {key}: {counters[key]}")
 
 
 def cmd_designs(args: argparse.Namespace) -> int:
@@ -264,46 +267,24 @@ def cmd_describe(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Fault factories for ``repro trace --fault``.
-TRACE_FAULTS = {
-    "linecard": "FailingLineCard",
-    "optics": "DirtyOptics",
-    "cpu": "ManagementCpuForwarding",
-    "duplex": "DuplexMismatch",
-}
+#: The soft failures ``repro trace --fault`` injects (fault registry
+#: names; ``storage`` and ``cachebug`` mean nothing on a border router).
+TRACE_FAULTS = ("cpu", "duplex", "linecard", "optics")
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    from .devices import faults as fault_lib
-    from .scenario import Scenario
+    from .experiment import FaultSpec, ScenarioSpec
     from .telemetry import write_chrome_trace, write_jsonl
 
-    bundle = build_design(args.design)
-    hosts = list(bundle.perfsonar) or bundle.dtns[:1]
-    hosts = [h for h in hosts if h != bundle.remote_dtn]
-    hosts.append(bundle.remote_dtn)
-    if len(hosts) < 2:
-        raise ReproError(
-            f"design {args.design!r} has no host to mesh against the "
-            "remote DTN; cannot build a traced scenario")
-
-    node = args.node or bundle.border
-    fault = getattr(fault_lib, TRACE_FAULTS[args.fault])()
-    at = parse_time(args.at)
-    until = parse_time(args.until)
-    repair = parse_time(args.repair_at) if args.repair_at else None
-    for label, when in (("fault", at), ("repair", repair)):
-        if when is not None and when.s >= until.s:
-            raise ReproError(
-                f"{label} time {when.human()} is not before the horizon "
-                f"{until.human()}")
-
-    scenario = Scenario(bundle, seed=args.seed)
-    scenario.with_mesh(hosts)
-    scenario.inject(node, fault, at=at)
-    if repair is not None:
-        scenario.repair_at(repair)
-    outcome = scenario.run(until=until, trace=True)
+    spec = ScenarioSpec(
+        name=f"trace-{args.design}", seed=args.seed, design=args.design,
+        until_s=parse_time(args.until).s,
+        faults=(FaultSpec(kind=args.fault, node=args.node,
+                          at_s=parse_time(args.at).s),),
+        repairs_s=((parse_time(args.repair_at).s,) if args.repair_at
+                   else ()))
+    outcome = run_experiment(spec, RunContext(trace=True),
+                             persist=False).value
     tracer = outcome.trace
 
     print(outcome.summary())
@@ -402,8 +383,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def _parse_oracle_arg(arg: str):
-    """``name[:k=v,...]`` -> ``(name, {k: v})`` with JSON-typed values."""
+    """``name[:k=v,...]`` -> an ``OracleSpec`` with JSON-typed values."""
     import json
+
+    from .chaos.spec import OracleSpec
 
     name, _, rest = arg.partition(":")
     name = name.strip()
@@ -421,55 +404,51 @@ def _parse_oracle_arg(arg: str):
                 params[key.strip()] = json.loads(raw)
             except ValueError:
                 params[key.strip()] = raw
-    return name, params
+    return OracleSpec(name=name, params=tuple(sorted(params.items())))
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
     import dataclasses
     import json
 
-    from .chaos import default_oracles, get_oracle
-    from .chaos.runner import _campaign_point
-    from .chaos.spec import CampaignSpec, OracleSpec
-    from .exec.seeding import canonical_json
+    from .chaos.runner import replay
+    from .chaos.spec import CampaignSpec
     from .experiment.spec import ScenarioSpec
 
     spec = ExperimentSpec.from_file(args.spec)
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
-    oracle_items = [_parse_oracle_arg(a) for a in args.oracle or []]
-    for name, _ in oracle_items:
-        get_oracle(name)  # fail fast with the known-oracle list
+    oracles = tuple(map(_parse_oracle_arg, args.oracle or []))
 
     if isinstance(spec, ScenarioSpec):
         # Replay mode: judge one concrete schedule (e.g. a shrunk
-        # repro-*.json artifact) against the oracles, in-process.
-        oracle_items = oracle_items or [(n, {}) for n in default_oracles()]
-        result = _campaign_point(
-            spec.to_json(),
-            canonical_json([[n, p] for n, p in oracle_items]),
-            canonical_json(None))
-        print(f"replayed schedule {spec.name!r} "
-              f"(seed {spec.seed}) against "
-              f"{len(oracle_items)} oracle(s)")
+        # repro-*.json artifact) against the oracles.
+        for flag in ("report", "artifacts"):
+            if getattr(args, flag):
+                raise ConfigurationError(
+                    f"--{flag} applies to a campaign spec; {args.spec!r} "
+                    "is a scenario spec, which is replayed")
+        ctx = context_from_args(args)
+        judged, result = replay(spec, oracles, ctx)
+        print(f"replayed schedule {spec.name!r} (seed {spec.seed}) "
+              f"against {len(judged)} oracle(s)")
         for key in sorted(result["summary"]):
             print(f"  {key}: {result['summary'][key]}")
-        if result["violations"]:
-            for oracle, msgs in sorted(result["violations"].items()):
-                for msg in msgs:
-                    print(f"VIOLATION {oracle}: {msg}", file=sys.stderr)
-            return 1
-        print("every oracle held")
-        return 0
+        for oracle, msgs in sorted(result["violations"].items()):
+            for msg in msgs:
+                print(f"VIOLATION {oracle}: {msg}", file=sys.stderr)
+        if not result["violations"]:
+            print("every oracle held")
+        if args.stats:
+            _print_stats(ctx)
+        return 1 if result["violations"] else 0
 
     if not isinstance(spec, CampaignSpec):
         raise ReproError(
             f"`repro chaos` needs a campaign or scenario spec, got "
             f"kind {spec.kind!r} from {args.spec!r}")
-    if oracle_items:
-        spec = dataclasses.replace(spec, oracles=tuple(
-            OracleSpec(name=n, params=tuple(sorted(p.items())))
-            for n, p in oracle_items))
+    if oracles:
+        spec = dataclasses.replace(spec, oracles=oracles)
     ctx = context_from_args(args)
     result = run_experiment(spec, ctx, persist=not args.no_persist)
     _print_run(result, ctx, args.stats)
@@ -526,19 +505,18 @@ def _check_output_file(path: str, flag: str) -> None:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     from . import bench
+    from .experiment import BenchSpec
 
     # Every flag is checked before the suite is timed.
-    if args.repeats < 1:
-        raise ConfigurationError(
-            f"--repeats must be at least 1, got {args.repeats}")
     if args.tolerance < 0:
         raise ConfigurationError("--tolerance must be non-negative")
-    names = None
+    names = ()
     if args.only is not None:
-        names = [n.strip() for n in args.only.split(",") if n.strip()]
+        names = tuple(n.strip() for n in args.only.split(",") if n.strip())
         if not names:
             raise ConfigurationError("--only names no scenario")
-        bench.select(names)
+    spec = BenchSpec(name="bench", scenarios=names, repeats=args.repeats,
+                     quick=args.quick)
     for path, flag in ((args.out, "--out"),
                        (args.write_baseline, "--write-baseline")):
         if path:
@@ -552,13 +530,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 "this run is in quick mode and the other is not; their "
                 "workloads differ")
 
-    def progress(name: str, seconds: float) -> None:
-        print(f"  {name:<24s} {seconds * 1000:10.1f} ms")
+    def progress(event: str, fields) -> None:
+        if event == "scenario":
+            print(f"  {fields['name']:<24s} "
+                  f"{fields['seconds'] * 1000:10.1f} ms")
 
     print("running bench suite"
           + (" (quick mode)" if args.quick else "") + ":")
-    payload = bench.run_suite(names, repeats=args.repeats,
-                              quick=args.quick, progress=progress)
+    payload = run_experiment(spec, RunContext(progress=progress),
+                             persist=False).value
     print(f"  {'calibration':<24s} "
           f"{payload['calibration'] * 1000:10.1f} ms")
 
@@ -807,7 +787,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a traced soft-failure scenario and export the event log")
     p_trace.add_argument("design", choices=sorted(DESIGNS))
     p_trace.add_argument("--fault", default="linecard",
-                         choices=sorted(TRACE_FAULTS),
+                         choices=TRACE_FAULTS,
                          help="soft failure to inject (default linecard)")
     p_trace.add_argument("--node", default=None,
                          help="node to fault (default: the design's border)")

@@ -13,9 +13,9 @@ runner registered there; the built-in kinds register below exactly as
   unchanged spec, seed and code version and the outcome is a disk read;
 * **sweep** specs resolve their registered target and fan out with the
   context's workers/cache, per-point seeds derived from the spec seed;
-* **bench** specs time their pinned scenarios via :mod:`repro.bench`
-  (timings land in the manifest's run section — they are provenance,
-  not identity).
+* **bench** specs time their pinned scenarios via :mod:`repro.bench`,
+  each reported as a ``"scenario"`` progress event (timings land in the
+  manifest's run section: they are provenance, not identity).
 
 Every run produces the same artifact set (``spec.json``,
 ``result.json``, ``manifest.json``) and a :class:`RunManifest` whose
@@ -125,29 +125,27 @@ def _scenario_point(spec: str,
     engine inside pool workers, which a parent-process default would
     not survive under spawn.
     """
+    parsed = ExperimentSpec.from_json(spec)
+    if engine is None:
+        return _outcome_payload(_run_timeline(parsed))
+    with use_backend(engine):
+        return _outcome_payload(_run_timeline(parsed))
+
+
+def _run_timeline(spec: ScenarioSpec, trace=None):
+    """Build ``spec``'s scenario and run it to its horizon."""
     from ..scenario import Scenario
     from ..units import seconds
 
-    parsed = ExperimentSpec.from_json(spec)
-    scenario = Scenario.from_spec(parsed)
-    if engine is None:
-        outcome = scenario.run(until=seconds(parsed.until_s))
-    else:
-        with use_backend(engine):
-            outcome = scenario.run(until=seconds(parsed.until_s))
-    return _outcome_payload(outcome)
+    return Scenario.from_spec(spec).run(until=seconds(spec.until_s),
+                                        trace=trace)
 
 
 def _run_scenario(spec: ScenarioSpec, ctx: RunContext, version: str):
     if ctx.tracer.enabled:
         # A cache hit could not replay trace events, so traced runs
         # execute in-process and skip the cache entirely.
-        from ..scenario import Scenario
-        from ..units import seconds
-
-        scenario = Scenario.from_spec(spec)
-        outcome = scenario.run(until=seconds(spec.until_s),
-                               trace=ctx.tracer)
+        outcome = _run_timeline(spec, ctx.tracer)
         payload = _outcome_payload(outcome)
         return RunOutput(payload, payload, outcome)
     params: Dict[str, object] = {"spec": spec.to_json()}
@@ -212,7 +210,10 @@ def _render_sweep(result) -> str:
 def _run_bench(spec: BenchSpec, ctx: RunContext, version: str):
     from .. import bench
 
-    suite = bench.run_suite_from_spec(spec)
+    suite = bench.run_suite(
+        list(spec.scenarios), repeats=spec.repeats, quick=spec.quick,
+        progress=lambda name, seconds: ctx.emit_progress(
+            "scenario", name=name, seconds=seconds))
     payload = {
         "scenarios": sorted(suite["results"]),
         "repeats": spec.repeats,

@@ -255,9 +255,8 @@ MAX_MESH_SESSIONS = 1000
 class MeshSpec(SpecRecord):
     """The perfSONAR mesh of a scenario: who probes whom, how often.
 
-    ``hosts`` may be empty, meaning "derive from the design" (its
-    perfSONAR hosts plus the remote DTN, the same rule ``repro trace``
-    uses).  Cadences are plain seconds so the spec stays unit-free.
+    ``hosts`` may be empty, meaning the design's perfSONAR hosts (or
+    its first DTN) plus the remote DTN.  Cadences are unit-free seconds.
     """
 
     hosts: Tuple[str, ...] = ()
@@ -425,10 +424,14 @@ class ScenarioSpec(ExperimentSpec):
         super().__post_init__()
         _require(self.until_s > 0, "scenario horizon until_s must be > 0")
         self.mesh.check_horizon(self.until_s)
-        for fault in self.faults:
-            _require(fault.at_s < self.until_s,
-                     f"fault at t={fault.at_s}s is not before the "
-                     f"horizon {self.until_s}s")
+        # An event at or after the horizon fires at its very end or never.
+        for name, times in (("faults", [f.at_s for f in self.faults]),
+                            ("repairs_s", self.repairs_s),
+                            ("link_cuts", [c.at_s for c in self.link_cuts])):
+            for i, at_s in enumerate(times):
+                _require(0 <= at_s < self.until_s,
+                         f"{name}[{i}]: t={at_s}s is negative or not "
+                         f"before the horizon {self.until_s}s")
 
     def points(self) -> int:
         return 1
@@ -495,9 +498,10 @@ class SweepSpec(ExperimentSpec):
 class BenchSpec(ExperimentSpec):
     """A :mod:`repro.bench` timing suite: which pinned scenarios, how.
 
-    ``scenarios`` of ``()`` means "every registered scenario".  Note the
-    timings a bench produces are inherently machine-dependent; the
-    manifest records them outside its deterministic core.
+    ``scenarios`` of ``()`` means "every registered scenario"; an
+    unregistered name is rejected here.  Note the timings a bench
+    produces are inherently machine-dependent; the manifest records them
+    outside its deterministic core.
     """
 
     kind: ClassVar[str] = "bench"
@@ -509,6 +513,9 @@ class BenchSpec(ExperimentSpec):
     def __post_init__(self) -> None:
         super().__post_init__()
         _require(self.repeats >= 1, "bench repeats must be >= 1")
+        from ..bench import select  # a leaf module, loaded on demand
+
+        select(self.scenarios)
 
 
 @dataclass(frozen=True)

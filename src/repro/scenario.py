@@ -115,15 +115,12 @@ class Scenario:
 
     # -- construction from specs --------------------------------------------------
     @classmethod
-    def from_spec(cls, spec, *, bundle: Optional[DesignBundle] = None
-                  ) -> "Scenario":
+    def from_spec(cls, spec) -> "Scenario":
         """Build a scenario from a serializable
         :class:`~repro.experiment.spec.ScenarioSpec`.
 
         The spec carries only names and scalars; designs and faults are
-        resolved through :mod:`repro.experiment.registry`.  Pass
-        ``bundle`` to reuse an already-built design (the default builds
-        ``spec.design`` fresh).  Run the result with
+        resolved through :mod:`repro.experiment.registry`.  Run it with
         ``scenario.run(until=seconds(spec.until_s))`` — or, better, run
         the spec through :func:`repro.experiment.run_experiment`, which
         adds caching and a provenance manifest.
@@ -132,8 +129,7 @@ class Scenario:
         from .experiment.registry import build_design, build_fault
         from .units import seconds
 
-        if bundle is None:
-            bundle = build_design(spec.design)
+        bundle = build_design(spec.design)
         rule = AlertRule(
             loss_rate_threshold=spec.alert_rule.loss_rate_threshold,
             throughput_drop_fraction=(
@@ -144,8 +140,6 @@ class Scenario:
         scenario = cls(bundle, seed=spec.seed, alert_rule=rule)
         hosts = list(spec.mesh.hosts)
         if not hosts:
-            # Same derivation as `repro trace`: the design's perfSONAR
-            # hosts (or first DTN) meshed against the remote peer.
             hosts = list(bundle.perfsonar) or bundle.dtns[:1]
             hosts = [h for h in hosts if h != bundle.remote_dtn]
             hosts.append(bundle.remote_dtn)

@@ -158,6 +158,17 @@ class TestSampling:
         with pytest.raises(ConfigurationError, match="warp-core"):
             sample_schedules(spec)
 
+    def test_times_never_round_up_to_the_horizon(self):
+        """Onsets within 0.05 s of the horizon would round up to it."""
+        spec = full_spec(until_s=1000.0, schedules=40, space=FaultSpaceSpec(
+            kinds=("linecard",), onset_min_s=999.96, onset_max_s=999.96,
+            repair_fraction=1.0, cuts=(("border", "wan"),),
+            cut_fraction=1.0))
+        for sched in sample_schedules(spec):
+            times = ([f.at_s for f in sched.faults] + list(sched.repairs_s)
+                     + [c.at_s for c in sched.link_cuts])
+            assert times and all(t == 999.9 for t in times)
+
     def test_storage_kind_lands_on_dtn(self):
         spec = full_spec(space=FaultSpaceSpec(
             kinds=("storage",), onset_min_s=100.0, onset_max_s=800.0))

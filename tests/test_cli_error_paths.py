@@ -150,11 +150,63 @@ class TestUnknownRegistryKeys:
         assert rc == 2
         assert "empty oracle name" in err
 
+    def test_unknown_bench_scenario(self, cli, tmp_path):
+        path = write_spec(tmp_path, "bb.json",
+                          {"kind": "bench", "name": "x",
+                           "scenarios": ["maxmin.numpy", "nope"]})
+        rc, out, err = cli("run", path)
+        assert rc == 2
+        assert "unknown bench scenario 'nope'" in err
+        assert "maxmin.numpy" in err and out == ""
+
     def test_unknown_sweep_target_rejected_by_parser(self, cli, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "warp"])
         assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
+
+
+class TestChaosReplayFlags:
+    """Replaying a scenario spec honours the run-setting flags and
+    refuses the campaign-only ones before anything runs."""
+
+    REPLAY = SPECS / "chaos_demo_repro.json"
+
+    @pytest.mark.parametrize("flag", ["--report", "--artifacts"])
+    def test_campaign_only_flag_is_two(self, cli, monkeypatch, tmp_path,
+                                       flag):
+        import repro.chaos.runner
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("replayed despite a campaign-only flag")
+
+        monkeypatch.setattr(repro.chaos.runner, "_campaign_point",
+                            must_not_run)
+        target = tmp_path / "out"
+        rc, out, err = cli("chaos", self.REPLAY, flag, target)
+        assert rc == EXIT_BAD_INPUT
+        assert f"{flag} applies to a campaign spec" in err
+        assert out == "" and not target.exists()
+
+    def test_stats_and_cache_apply(self, cli, monkeypatch, tmp_path):
+        monkeypatch.delenv("REPRO_CACHE", raising=False)
+        cache = tmp_path / "cache"
+        runs = [cli("chaos", self.REPLAY, "--cache-dir", cache, "--stats")
+                for _ in range(2)]
+        assert [rc for rc, _, _ in runs] == [EXIT_OK, EXIT_OK]
+        (_, cold, _), (_, warm, _) = runs
+        verdict, stats = cold.split("\n\nexecution stats:\n")
+        assert verdict.endswith("every oracle held")
+        assert warm.startswith(verdict + "\n\nexecution stats:\n")
+        assert "  exec.cache.misses: 1" in stats
+        assert "  exec.cache.hits: 1" in warm
+
+    def test_bad_workers_is_two(self, cli, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "0")
+        rc, out, err = cli("chaos", self.REPLAY)
+        assert rc == EXIT_BAD_INPUT
+        assert "REPRO_WORKERS must be an integer >= 1" in err
+        assert out == ""
 
 
 class TestSweepValidation:

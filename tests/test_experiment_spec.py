@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench import SCENARIOS as BENCH_SCENARIOS
 from repro.errors import ConfigurationError
 from repro.experiment import (
     MAX_MESH_SESSIONS,
@@ -55,12 +56,19 @@ def mesh_specs(draw):
     )
 
 
+def event_times(horizon):
+    """Timeline times a scenario with this horizon accepts (as JSON
+    ints too, like ``seconds_values``)."""
+    return st.one_of(
+        st.floats(min_value=0.0, max_value=horizon - 1.0, allow_nan=False),
+        st.integers(min_value=0, max_value=int(horizon) - 1))
+
+
 @st.composite
 def fault_specs(draw, horizon):
     return FaultSpec(
         kind=draw(st.sampled_from(["linecard", "optics", "cpu", "duplex"])),
-        at_s=draw(st.floats(min_value=0.0, max_value=horizon - 1.0,
-                            allow_nan=False)),
+        at_s=draw(event_times(horizon)),
         node=draw(st.one_of(st.none(), names)),
         params=tuple(sorted(draw(st.dictionaries(
             st.sampled_from(["loss_rate", "cpu_mbps"]),
@@ -88,9 +96,10 @@ def scenario_specs(draw):
         until_s=until,
         mesh=mesh,
         faults=tuple(draw(st.lists(fault_specs(until), max_size=3))),
-        repairs_s=tuple(draw(st.lists(seconds_values, max_size=2))),
+        repairs_s=tuple(draw(st.lists(event_times(until), max_size=2))),
         link_cuts=tuple(
-            LinkCutSpec(a=draw(names), b=draw(names), at_s=draw(seconds_values))
+            LinkCutSpec(a=draw(names), b=draw(names),
+                        at_s=draw(event_times(until)))
             for _ in range(draw(st.integers(min_value=0, max_value=2)))),
         alert_rule=AlertRuleSpec(
             loss_rate_threshold=draw(st.floats(min_value=1e-9, max_value=0.5,
@@ -131,7 +140,8 @@ def bench_specs(draw):
         name=draw(names),
         seed=draw(seeds),
         description=draw(st.text(max_size=30)),
-        scenarios=tuple(draw(st.lists(names, max_size=3))),
+        scenarios=tuple(draw(st.lists(
+            st.sampled_from(sorted(BENCH_SCENARIOS)), max_size=3))),
         repeats=draw(st.integers(min_value=1, max_value=10)),
         quick=draw(st.booleans()),
     )
@@ -274,6 +284,31 @@ class TestCodec:
         with pytest.raises(ConfigurationError) as exc:
             ExperimentSpec.from_dict(scenario_doc(**payload))
         assert message in str(exc.value)
+
+    @pytest.mark.parametrize("payload, message", [
+        ({"faults": [{"kind": "linecard", "at_s": 5400}]},
+         "faults[0]: t=5400.0s is negative or not before the horizon"),
+        ({"repairs_s": [5400]},
+         "repairs_s[0]: t=5400.0s is negative or not before the horizon"),
+        ({"repairs_s": [100, 9000]},
+         "repairs_s[1]: t=9000.0s is negative or not before the horizon"),
+        ({"repairs_s": [-5]}, "repairs_s[0]: t=-5.0s is negative"),
+        ({"link_cuts": [{"a": "x", "b": "y", "at_s": 5400}]},
+         "link_cuts[0]: t=5400.0s is negative or not before the horizon"),
+        ({"link_cuts": [{"a": "x", "b": "y", "at_s": -1}]},
+         "link_cuts[0]: t=-1.0s is negative"),
+    ])
+    def test_timeline_events_fall_before_the_horizon(self, payload,
+                                                     message):
+        with pytest.raises(ConfigurationError) as exc:
+            ExperimentSpec.from_dict(scenario_doc(**payload))
+        assert message in str(exc.value)
+
+    def test_unknown_bench_scenario_is_rejected_at_parse(self):
+        with pytest.raises(ConfigurationError,
+                           match="unknown bench scenario 'nope'"):
+            ExperimentSpec.from_dict({"schema": 1, "kind": "bench",
+                                      "name": "b", "scenarios": ["nope"]})
 
     def test_null_only_where_optional(self):
         spec = ExperimentSpec.from_dict(scenario_doc(

@@ -201,6 +201,12 @@ class TestProtocolErrors:
                            match="mesh: bwctl_interval_s 1.5 is shorter"):
             server.client().submit(spec)
 
+    def test_unknown_bench_scenario_400(self, server):
+        with pytest.raises(ConfigurationError,
+                           match="unknown bench scenario 'nope'"):
+            server.client().submit({"schema": 1, "kind": "bench",
+                                    "name": "x", "scenarios": ["nope"]})
+
     def test_bad_priority_400(self, server):
         spec = json.loads((SPECS_DIR / "fig1_tcp_loss_quick.json")
                           .read_text())
