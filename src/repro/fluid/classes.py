@@ -131,9 +131,9 @@ def build_flow_classes(
     algorithm_of = np.asarray(algorithm_of, dtype=np.int64)
     rate_caps = np.asarray(rate_caps, dtype=np.float64)
     n_flows = path_of.size
-    starts = np.array([s.start.s for s in specs], dtype=np.float64)
+    starts = np.array([s.start_s for s in specs], dtype=np.float64)
     streams = np.array([s.parallel_streams for s in specs], dtype=np.int64)
-    sizes = np.array([np.inf if s.size is None else s.size.bits
+    sizes = np.array([np.inf if s.size_bits is None else s.size_bits
                       for s in specs], dtype=np.float64)
     per_stream = sizes / streams
 

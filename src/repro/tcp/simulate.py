@@ -40,7 +40,6 @@ over random topologies, seeds and stream counts.  ``"fluid"`` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -49,7 +48,8 @@ from ..errors import ConfigurationError, SimulationError
 from ..netsim.flow import FlowSpec
 from ..netsim.link import Link
 from ..netsim.topology import PathProfile, Topology
-from ..units import DataRate, DataSize, TimeDelta, bits, seconds
+from ..units import (DataRate, DataSize, TimeDelta, _new, _put_bits, _put_s,
+                     bits, seconds)
 from ..vectorize import resolve_engine
 from .congestion import (CongestionControl, Reno, algorithm_by_name,
                          algorithm_key)
@@ -289,31 +289,100 @@ def max_min_fair_allocation(
     return filler.allocate(demands)
 
 
-@dataclass(slots=True)
 class FlowProgress:
-    """Per-flow outcome of a multi-flow simulation."""
+    """Per-flow outcome of a multi-flow simulation.
 
-    spec: FlowSpec
-    delivered: DataSize = bits(0)
-    finish_time: Optional[TimeDelta] = None
-    loss_events: int = 0
-    started: bool = False
-    time_series: List[Tuple[float, float]] = field(default_factory=list)
-    # (time_s, rate_bps) decimated samples; a flow that finishes
-    # mid-interval appends one final sample at its finish time carrying
-    # the final tick's allocation, so consumers integrating the series
-    # never extrapolate a stale boundary rate over the last partial
-    # interval.
+    The record stores plain floats, ``delivered_bits`` and ``finish_s``
+    (``None`` until the flow finishes), so it is the one GC-tracked
+    object a flow adds to a run.  :attr:`delivered` and
+    :attr:`finish_time` read and assign them as unit types, building
+    the wrapper on each read.  :attr:`time_series` holds ``(time_s,
+    rate_bps)`` decimated samples; its list is created on first read,
+    so a fluid-engine flow, which records none, never allocates one.
+    A flow that finishes mid-interval appends one final sample at its
+    finish time carrying the final tick's allocation, so consumers
+    integrating the series never extrapolate a stale boundary rate
+    over the last partial interval.
+    """
+
+    __slots__ = ("spec", "delivered_bits", "finish_s", "loss_events",
+                 "started", "_series")
+
+    def __init__(self, spec: FlowSpec, delivered: DataSize = bits(0),
+                 finish_time: Optional[TimeDelta] = None,
+                 loss_events: int = 0, started: bool = False,
+                 time_series: Optional[List[Tuple[float, float]]] = None
+                 ) -> None:
+        self.spec = spec
+        self.delivered_bits = delivered.bits
+        self.finish_s = None if finish_time is None else finish_time.s
+        self.loss_events = loss_events
+        self.started = started
+        self._series = time_series
+
+    @property
+    def delivered(self) -> DataSize:
+        """Data delivered so far."""
+        delivered = _new(DataSize)
+        _put_bits(delivered, self.delivered_bits)
+        return delivered
+
+    @delivered.setter
+    def delivered(self, value: DataSize) -> None:
+        self.delivered_bits = value.bits
+
+    @property
+    def finish_time(self) -> Optional[TimeDelta]:
+        """When the flow finished, or ``None`` while it runs."""
+        s = self.finish_s
+        if s is None:
+            return None
+        finish = _new(TimeDelta)
+        _put_s(finish, s)
+        return finish
+
+    @finish_time.setter
+    def finish_time(self, value: Optional[TimeDelta]) -> None:
+        self.finish_s = None if value is None else value.s
+
+    @property
+    def time_series(self) -> List[Tuple[float, float]]:
+        """``(time_s, rate_bps)`` samples, created on first read."""
+        if self._series is None:
+            self._series = []
+        return self._series
+
+    @time_series.setter
+    def time_series(self, value: List[Tuple[float, float]]) -> None:
+        self._series = value
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None  # a mutable record
+
+    def _fields(self) -> tuple:
+        return (self.spec, self.delivered_bits, self.finish_s,
+                self.loss_events, self.started, self._series or [])
+
+    def __repr__(self) -> str:
+        return (f"FlowProgress(spec={self.spec!r}, "
+                f"delivered={self.delivered!r}, "
+                f"finish_time={self.finish_time!r}, "
+                f"loss_events={self.loss_events!r}, "
+                f"started={self.started!r}, "
+                f"time_series={self._series or []!r})")
 
     @property
     def done(self) -> bool:
-        return self.finish_time is not None
+        return self.finish_s is not None
 
     def mean_throughput(self, now: TimeDelta) -> DataRate:
-        end = self.finish_time.s if self.finish_time else now.s
-        start = self.spec.start.s
-        dur = max(end - start, 1e-12)
-        return DataRate(self.delivered.bits / dur)
+        end = self.finish_s if self.finish_s else now.s
+        dur = max(end - self.spec.start_s, 1e-12)
+        return DataRate(self.delivered_bits / dur)
 
 
 class _StreamState:
@@ -509,7 +578,7 @@ class MultiFlowSimulation:
         sample_interval: TimeDelta = seconds(1.0),
     ) -> Dict[str, FlowProgress]:
         """Advance until all sized flows finish (or ``until`` elapses)."""
-        if until is None and all(s.size is None for s in self._specs):
+        if until is None and all(s.size_bits is None for s in self._specs):
             raise ConfigurationError(
                 "all flows are unbounded; an explicit until= horizon is required"
             )
@@ -549,8 +618,8 @@ class MultiFlowSimulation:
         # association; `np.bincount` in the kernel accumulates
         # sequentially exactly like this loop).
         for label, streams in zip(self._labels, self._streams):
-            prog = self.progress[label]
-            prog.delivered = bits(sum(st.delivered_bits for st in streams))
+            self.progress[label].delivered_bits = float(
+                sum(st.delivered_bits for st in streams))
         self.finished_at = seconds(now)
         return self.progress
 
@@ -607,9 +676,9 @@ class MultiFlowSimulation:
                     result.finish_s[lo:hi].tolist()):
                 if started:
                     prog.started = True
-                prog.delivered = DataSize(delivered)
+                prog.delivered_bits = delivered
                 if math.isfinite(finish):
-                    prog.finish_time = TimeDelta(finish)
+                    prog.finish_s = finish
         return result.now_s
 
     # -- vectorized loop -------------------------------------------------------
@@ -661,7 +730,7 @@ class MultiFlowSimulation:
         # Per-flow bookkeeping mirrored from/into FlowProgress so repeated
         # run() calls resume exactly like the scalar reference.
         progresses = [self.progress[label] for label in self._labels]
-        start_f = np.array([s.start.s for s in self._specs])
+        start_f = np.array([s.start_s for s in self._specs])
         done_f = np.array([p.done for p in progresses], dtype=bool)
         started_f = np.array([p.started for p in progresses], dtype=bool)
         loss_events_f = np.zeros(n_flows, dtype=np.int64)
@@ -838,7 +907,7 @@ class MultiFlowSimulation:
                         done_f |= newly_done
                         for f in np.nonzero(newly_done)[0]:
                             prog = progresses[f]
-                            prog.finish_time = seconds(now + dt)
+                            prog.finish_s = now + dt
                             # Final-tick sample: close the series at
                             # the finish time so the last partial
                             # interval is not extrapolated.
@@ -901,4 +970,4 @@ class MultiFlowSimulation:
         return self._path_profiles[self._path_of[f]]
 
     def aggregate_delivered(self) -> DataSize:
-        return bits(sum(p.delivered.bits for p in self.progress.values()))
+        return bits(sum(p.delivered_bits for p in self.progress.values()))

@@ -386,6 +386,16 @@ class TimeDelta:
         return f"{v * 1e6:.4g} us"
 
 
+# Unchecked builds, for records that keep a quantity as a float they
+# validated when it came in (FlowSpec, FlowProgress) and build the
+# wrapper on every read: ``obj = _new(DataSize); _put_bits(obj, b)``
+# costs about half of ``DataSize(b)``, whose checks would only repeat
+# themselves.
+_new = object.__new__
+_put_bits = DataSize.bits.__set__
+_put_s = TimeDelta.s.__set__
+
+
 # ---------------------------------------------------------------------------
 # Constructors
 # ---------------------------------------------------------------------------

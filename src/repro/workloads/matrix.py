@@ -112,17 +112,20 @@ def traffic_matrix(
     sizes = np.exp(rng.normal(mu, size_sigma, size=n_flows))
     starts = rng.uniform(0.0, max(arrival_window.s, 0.0), size=n_flows)
 
+    # One policy mapping for every demand, and plain Python numbers from
+    # tolist() rather than numpy scalars converted one at a time.
     policy = dict(policy or {})
     flows: List[FlowSpec] = [
         FlowSpec(
-            src=sites[int(s)],
-            dst=sites[int(d)],
-            size=DataSize(float(sz)),
-            start=seconds(float(t)),
+            src=sites[s],
+            dst=sites[d],
+            size=DataSize(sz),
+            start=TimeDelta(t),
             parallel_streams=streams_per_flow,
-            policy=dict(policy),
+            policy=policy,
             label=f"tm-{i}",
         )
-        for i, (s, d, sz, t) in enumerate(zip(src, dst, sizes, starts))
+        for i, (s, d, sz, t) in enumerate(zip(
+            src.tolist(), dst.tolist(), sizes.tolist(), starts.tolist()))
     ]
     return ScienceWorkload(name="traffic-matrix", flows=tuple(flows))

@@ -11,6 +11,9 @@ ready for :class:`~repro.tcp.simulate.MultiFlowSimulation`:
   through a handful of parallel streams.
 * **Light-source bursts** (§3.2, §6.4): an instrument emitting a dataset
   per experiment cycle, quiet between cycles.
+
+Each builder copies its ``policy`` argument once and gives every demand
+of the workload that one mapping.
 """
 
 from __future__ import annotations
@@ -44,7 +47,8 @@ class ScienceWorkload:
 
     @property
     def total_bytes(self) -> DataSize:
-        total = sum(f.size.bits for f in self.flows if f.size is not None)
+        total = sum(f.size_bits for f in self.flows
+                    if f.size_bits is not None)
         return DataSize(total)
 
     def specs(self) -> List[FlowSpec]:
@@ -63,6 +67,7 @@ def lhc_tier2_fanin(
     """Many sites pushing datasets into one analysis cluster (§6.1 CMS)."""
     if not remote_sites:
         raise ConfigurationError("need at least one remote site")
+    policy = dict(policy or {})
     flows = []
     for i, site in enumerate(remote_sites):
         flows.append(FlowSpec(
@@ -71,7 +76,7 @@ def lhc_tier2_fanin(
             size=per_site_size,
             start=seconds(stagger.s * i),
             parallel_streams=streams_per_site,
-            policy=dict(policy or {}),
+            policy=policy,
             label=f"cms-{site}",
         ))
     return ScienceWorkload(name="lhc-tier2-fanin", flows=tuple(flows))
@@ -90,13 +95,14 @@ def climate_archive_pull(
     if parallel_transfers < 1:
         raise ConfigurationError("parallel_transfers must be >= 1")
     share = DataSize(total.bits / parallel_transfers)
+    policy = dict(policy or {})
     flows = [
         FlowSpec(
             src=archive_host,
             dst=home_host,
             size=share,
             parallel_streams=streams_per_transfer,
-            policy=dict(policy or {}),
+            policy=policy,
             label=f"archive-pull-{i}",
         )
         for i in range(parallel_transfers)
@@ -117,6 +123,7 @@ def lightsource_bursts(
     """An instrument emitting one dataset per experiment cycle (§6.4 ALS)."""
     if cycles < 1:
         raise ConfigurationError("cycles must be >= 1")
+    policy = dict(policy or {})
     flows = [
         FlowSpec(
             src=beamline_host,
@@ -124,7 +131,7 @@ def lightsource_bursts(
             size=dataset_per_cycle,
             start=seconds(cycle_gap.s * i),
             parallel_streams=streams,
-            policy=dict(policy or {}),
+            policy=policy,
             label=f"beamline-cycle-{i}",
         )
         for i in range(cycles)

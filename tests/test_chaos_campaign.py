@@ -74,6 +74,20 @@ class TestReportDeterminism:
         assert stats.get("exec.runner.evaluated", 0) == 0
         assert stats.get("exec.cache.hits", 0) >= spec.schedules
 
+    def test_cache_is_keyed_by_engine(self, tmp_path):
+        """Schedules judged on the numpy kernel are never served to a
+        fluid-engine campaign sharing the cache."""
+        spec = quick_campaign(schedules=2, transfer=None, shrink=False)
+        cache = tmp_path / "cache"
+        run_experiment(spec, RunContext(cache=cache), persist=False)
+        fluid = RunContext(cache=cache, backend="fluid")
+        run_experiment(spec, fluid, persist=False)
+        assert fluid.stats().get("exec.cache.hits", 0) == 0
+        assert fluid.stats().get("exec.runner.evaluated", 0) == 2
+        numpy = RunContext(cache=cache, backend="numpy")
+        run_experiment(spec, numpy, persist=False)
+        assert numpy.stats().get("exec.cache.hits", 0) == 2
+
     def test_report_digest_excludes_execution_noise(self):
         """The report must not leak code version, timings or workers."""
         result = run_experiment(quick_campaign(), persist=False)

@@ -201,6 +201,24 @@ class TestChaosReplayFlags:
         assert "  exec.cache.misses: 1" in stats
         assert "  exec.cache.hits: 1" in warm
 
+    def test_engine_joins_the_cache_key(self, cli, monkeypatch, tmp_path):
+        """A replay under the fluid engine misses the numpy entry, and a
+        numpy replay still finds it."""
+        monkeypatch.delenv("REPRO_CACHE", raising=False)
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        args = ("chaos", self.REPLAY, "--cache-dir", tmp_path / "cache",
+                "--stats")
+        assert cli(*args)[0] == EXIT_OK
+        monkeypatch.setenv("REPRO_BACKEND", "fluid")
+        rc, fluid, _ = cli(*args)
+        assert rc == EXIT_OK
+        assert "  exec.cache.hits: 0" in fluid
+        assert "  exec.cache.misses: 1" in fluid
+        monkeypatch.delenv("REPRO_BACKEND")
+        rc, numpy_again, _ = cli(*args)
+        assert rc == EXIT_OK
+        assert "  exec.cache.hits: 1" in numpy_again
+
     def test_bad_workers_is_two(self, cli, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "0")
         rc, out, err = cli("chaos", self.REPLAY)
