@@ -12,15 +12,13 @@ results.  Output discipline:
   computation, so ``--benchmark-only`` runs double as a performance
   regression harness for the simulator itself.
 
-Environment knobs (all read at call time, so tests can monkeypatch):
+Environment knobs (all read at call time, so tests can monkeypatch).
+The run settings ``REPRO_WORKERS``, ``REPRO_CACHE`` and
+``REPRO_BACKEND`` are not read here: the benches that run specs
+(``bench_fig1_tcp_loss.py``, ``bench_linecard_softfail.py``) take them
+through :meth:`repro.experiment.RunContext.from_env`.  This module
+reads two of its own:
 
-``REPRO_WORKERS``
-    Process-pool size for benches that sweep grids through
-    :func:`repro.analysis.sweep.sweep`; unset/empty means serial.
-    Results are byte-identical either way (see ``docs/execution.md``).
-``REPRO_CACHE``
-    Enable the content-addressed result cache: ``1`` for the default
-    ``.repro-cache/`` directory, any other value is used as the path.
 ``REPRO_BENCH_QUICK``
     Smoke mode: benches shrink their grids/durations via
     :func:`quick` and shape checks are rendered but not asserted
@@ -36,10 +34,9 @@ from __future__ import annotations
 
 import os
 import pathlib
-from typing import Dict, TypeVar
+from typing import TypeVar
 
 from repro.analysis.report import ExperimentRecord
-from repro.experiment import RunContext
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -58,18 +55,6 @@ def quick(full: T, tiny: T) -> T:
     suite exercises the whole code path in a fraction of the time.
     """
     return tiny if quick_mode() else full
-
-
-def sweep_kwargs() -> Dict[str, object]:
-    """Keyword arguments for ``sweep()`` honoring the env knobs, read
-    through :meth:`repro.experiment.RunContext.from_env`."""
-    ctx = RunContext.from_env()
-    kwargs: Dict[str, object] = {}
-    if ctx.workers > 1:
-        kwargs["workers"] = ctx.workers
-    if ctx.cache is not None:
-        kwargs["cache"] = ctx.cache
-    return kwargs
 
 
 def results_dir() -> pathlib.Path:

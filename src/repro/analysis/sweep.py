@@ -49,10 +49,10 @@ class SweepResult:
     param_names: List[str]
     records: List[SweepRecord] = field(default_factory=list)
     value_label: str = "value"
-    #: Execution counters (points/evaluated/cache hits...) when the
-    #: sweep ran through :class:`repro.exec.ParallelRunner`; None for
-    #: the plain serial path.  Excluded from equality so a cached and
-    #: a computed run still compare equal record-for-record.
+    #: Execution counters (points/evaluated/cache hits...) from the
+    #: :class:`repro.exec.ParallelRunner` every sweep runs through;
+    #: :func:`sweep` always sets them.  Excluded from equality so a
+    #: cached and a computed run still compare equal record-for-record.
     stats: Optional[Dict[str, int]] = field(default=None, compare=False,
                                             repr=False)
 
@@ -163,8 +163,11 @@ def sweep(
         Optional observer called with each
         :class:`~repro.exec.PointOutcome` as it completes (completion
         order, parent process) — how the experiment service streams
-        per-point progress.  Forces the exec engine even for plain
-        serial sweeps so the hook fires uniformly.
+        per-point progress.
+
+    Every sweep runs through :class:`~repro.exec.ParallelRunner`, which
+    evaluates each point on the process-default simulation engine
+    (:func:`~repro.vectorize.resolve_engine`), in pool workers too.
     """
     if on_error is not None:
         if on_error not in ("raise", "record"):
@@ -184,21 +187,6 @@ def sweep(
     result = SweepResult(param_names=names, value_label=value_label)
     points = [dict(zip(names, combo))
               for combo in itertools.product(*(grid[n] for n in names))]
-
-    engine_needed = (cache is not None or base_seed is not None
-                     or metrics is not None or on_point is not None
-                     or (workers is not None and workers > 1))
-    if not engine_needed:
-        for params in points:
-            try:
-                value = fn(**params)
-                result.records.append(SweepRecord(params=params, value=value))
-            except Exception as exc:  # noqa: BLE001 - intentional catch-all
-                if not catch_errors:
-                    raise
-                result.records.append(SweepRecord(
-                    params=params, value=None, error=str(exc)))
-        return result
 
     from ..exec import ParallelRunner
     runner = ParallelRunner(workers, cache=cache, base_seed=base_seed,

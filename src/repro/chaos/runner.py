@@ -29,7 +29,6 @@ from ..exec.seeding import canonical_json, derive_seed
 from ..experiment.manifest import package_code_version
 from ..experiment.runner import RunOutput, _outcome_payload
 from ..experiment.spec import ExperimentSpec, ScenarioSpec, register_spec_kind
-from ..vectorize import use_backend
 from .oracles import (
     ProfileTimeline,
     RunObservation,
@@ -126,26 +125,14 @@ def _transfer_record(parsed: ScenarioSpec, probe: TransferProbeSpec,
     return record
 
 
-def _campaign_point(spec: str, oracles: str, transfer: str,
-                    engine: Optional[str] = None) -> Dict[str, object]:
+def _campaign_point(spec: str, oracles: str,
+                    transfer: str) -> Dict[str, object]:
     """Run one sampled schedule and judge it against the oracles.
 
-    The first three parameters are JSON strings so the exec cache can
-    key them canonically and a pool worker can receive them unpickled.
+    All three parameters are JSON strings so the exec cache can key
+    them canonically and a pool worker can receive them unpickled.
     Module-level by the same rule as every other swept function.
-    ``engine`` is passed for a non-numpy engine only, exactly as
-    :func:`~repro.experiment.runner._scenario_point` takes it: it joins
-    the cache key, and the schedule runs under it.
     """
-    if engine is None:
-        return _judge_point(spec, oracles, transfer)
-    with use_backend(engine):
-        return _judge_point(spec, oracles, transfer)
-
-
-def _judge_point(spec: str, oracles: str,
-                 transfer: str) -> Dict[str, object]:
-    """:func:`_campaign_point` on the engine already in effect."""
     from ..scenario import Scenario
     from ..units import seconds
 
@@ -197,17 +184,14 @@ def _judge_point(spec: str, oracles: str,
 
 
 def _judge(runner, schedules: Sequence[ScenarioSpec], oracle_items: list,
-           transfer: Optional[TransferProbeSpec], engine: str) -> list:
+           transfer: Optional[TransferProbeSpec]) -> list:
     """Run ``schedules`` as :func:`_campaign_point` calls on ``runner``:
-    the one place a schedule's cache key is built.  ``engine`` joins
-    the key unless it is the exact ``"numpy"`` kernel, so numpy keys
-    stay those of a run that names no engine."""
+    the one place a schedule's point parameters are built."""
     oracles = canonical_json([[name, params]
                               for name, params in oracle_items])
     probe = canonical_json(None if transfer is None else transfer.to_dict())
-    extra = {} if engine == "numpy" else {"engine": engine}
     return runner.map(_campaign_point, [
-        {"spec": s.to_json(), "oracles": oracles, "transfer": probe, **extra}
+        {"spec": s.to_json(), "oracles": oracles, "transfer": probe}
         for s in schedules])
 
 
@@ -244,8 +228,7 @@ def run_campaign(spec: CampaignSpec, ctx, version: str):
                      oracles=[name for name, _ in oracle_items])
 
     runner = ctx.runner(code_version=version)
-    engine = ctx.resolved_backend()
-    outcomes = _judge(runner, schedules, oracle_items, spec.transfer, engine)
+    outcomes = _judge(runner, schedules, oracle_items, spec.transfer)
 
     records: List[ScheduleRecord] = []
     for i, (schedule, outcome) in enumerate(zip(schedules, outcomes)):
@@ -272,8 +255,7 @@ def run_campaign(spec: CampaignSpec, ctx, version: str):
     if spec.shrink and failing:
         def evaluate(candidates: Sequence[ScenarioSpec]
                      ) -> List[Dict[str, List[str]]]:
-            outs = _judge(runner, candidates, oracle_items, spec.transfer,
-                          engine)
+            outs = _judge(runner, candidates, oracle_items, spec.transfer)
             return [o.value["violations"] for o in outs]
 
         for record in failing[:spec.max_shrink]:
@@ -322,7 +304,7 @@ def replay(spec: ScenarioSpec, oracles: Sequence[OracleSpec], ctx
     """
     oracle_items = _oracle_items(oracles)
     outcome, = _judge(ctx.runner(code_version=package_code_version()),
-                      [spec], oracle_items, None, ctx.resolved_backend())
+                      [spec], oracle_items, None)
     return [name for name, _ in oracle_items], outcome.value
 
 

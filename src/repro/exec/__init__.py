@@ -26,7 +26,7 @@ from .cache import (
     ResultCache,
     cache_key,
     code_version_tag,
-    function_fingerprint,
+    function_id,
 )
 from .runner import ParallelRunner, PointOutcome
 from .seeding import canonical_json, derive_seed
@@ -37,7 +37,7 @@ __all__ = [
     "ResultCache",
     "cache_key",
     "code_version_tag",
-    "function_fingerprint",
+    "function_id",
     "canonical_json",
     "derive_seed",
     "DEFAULT_CACHE_DIR",

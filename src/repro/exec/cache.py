@@ -63,14 +63,14 @@ import os
 import pathlib
 import tempfile
 import threading
-from typing import Callable, Dict, Mapping, Optional, Tuple
+from typing import Callable, Dict, Mapping, Optional
 
 from ..errors import ExecError
 from ..telemetry import MetricsRegistry
 from .seeding import canonical_json
 
-__all__ = ["ResultCache", "cache_key", "code_version_tag",
-           "function_fingerprint", "DEFAULT_CACHE_DIR"]
+__all__ = ["ResultCache", "cache_key", "code_version_tag", "function_id",
+           "DEFAULT_CACHE_DIR"]
 
 #: Default on-disk location, relative to the current working directory.
 DEFAULT_CACHE_DIR = ".repro-cache"
@@ -88,7 +88,7 @@ def code_version_tag(fn: Callable[..., object]) -> str:
     default ``version`` component of cache keys: edit the function and
     its old entries silently become misses.
     """
-    ident = f"{getattr(fn, '__module__', '?')}.{getattr(fn, '__qualname__', repr(fn))}"
+    ident = function_id(fn)
     try:
         source = inspect.getsource(fn)
     except (OSError, TypeError):
@@ -97,10 +97,9 @@ def code_version_tag(fn: Callable[..., object]) -> str:
     return digest.hexdigest()[:16]
 
 
-def function_fingerprint(fn: Callable[..., object]) -> Tuple[str, str]:
-    """``(identity, version_tag)`` for a swept function."""
-    ident = f"{getattr(fn, '__module__', '?')}.{getattr(fn, '__qualname__', repr(fn))}"
-    return ident, code_version_tag(fn)
+def function_id(fn: Callable[..., object]) -> str:
+    """A swept function's identity in its cache keys: module.qualname."""
+    return f"{getattr(fn, '__module__', '?')}.{getattr(fn, '__qualname__', repr(fn))}"
 
 
 def cache_key(fn_id: str, params: Mapping[str, object],
@@ -192,9 +191,8 @@ class ResultCache:
                 seed: Optional[int] = None,
                 version: Optional[str] = None) -> str:
         """Key for a live function; derives the version tag if needed."""
-        fn_id, derived = function_fingerprint(fn)
-        return cache_key(fn_id, params, seed,
-                         derived if version is None else version)
+        return cache_key(function_id(fn), params, seed,
+                         code_version_tag(fn) if version is None else version)
 
     def _path(self, key: str) -> pathlib.Path:
         return self.root / key[:2] / f"{key}.json"

@@ -14,7 +14,11 @@ returns byte-identical results to the serial run** —
   exception propagates, exactly as the serial loop would raise it,
   even if a later point failed first on the wall clock;
 * cache hits short-circuit evaluation entirely, and only values that
-  round-trip exactly are ever cached (see :mod:`repro.exec.cache`).
+  round-trip exactly are ever cached (see :mod:`repro.exec.cache`);
+* every point runs on the simulation engine it is keyed under, and any
+  engine but the exact ``"numpy"`` kernel forks the cache version
+  (``<version>+<engine>``), so approximate and exact runs never share
+  an entry.
 
 Worker functions must be picklable (defined at module top level) when
 ``workers > 1``; the runner checks up front and raises a
@@ -24,6 +28,7 @@ of letting the pool die with an opaque ``PicklingError``.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import pickle
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -32,7 +37,8 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError, ExecError
 from ..telemetry import MetricsRegistry
-from .cache import ResultCache, function_fingerprint
+from ..vectorize import resolve_engine, use_backend
+from .cache import ResultCache, code_version_tag, function_id
 from .seeding import derive_seed
 
 __all__ = ["ParallelRunner", "PointOutcome"]
@@ -68,11 +74,15 @@ def _pool_task(payload: Tuple) -> Tuple:
     Exceptions are captured rather than raised so the parent can pick
     the *grid-earliest* failure deterministically.  The exception
     object rides along when it pickles; otherwise only its string
-    survives the trip home.
+    survives the trip home.  The engine rides in the payload because a
+    spawned or forkserver worker does not inherit the parent's
+    :func:`~repro.vectorize.use_backend` default.
     """
-    fn, index, params, seed, seed_param = payload
+    fn, index, params, seed, seed_param, engine = payload
     try:
-        return index, _call_point(fn, params, seed, seed_param), None, None
+        with use_backend(engine):
+            value = _call_point(fn, params, seed, seed_param)
+        return index, value, None, None
     except Exception as exc:  # noqa: BLE001 - transported to the parent
         transportable: Optional[BaseException] = exc
         try:
@@ -113,6 +123,10 @@ class ParallelRunner:
         :func:`~repro.exec.cache.code_version_tag`).
     mp_context:
         Optional :mod:`multiprocessing` context for the pool.
+    engine:
+        Simulation engine every point runs on, in pool workers too;
+        None resolves the process default at each :meth:`map`.  Any
+        engine but ``"numpy"`` appends ``+<engine>`` to the version.
     metrics:
         Shared registry for the runner's counters (component
         ``exec.runner``); defaults to the cache's registry, else a
@@ -134,6 +148,7 @@ class ParallelRunner:
                  seed_param: str = "seed",
                  code_version: Optional[str] = None,
                  mp_context=None,
+                 engine: Optional[str] = None,
                  metrics: Optional[MetricsRegistry] = None,
                  on_outcome: Optional[
                      Callable[[PointOutcome], None]] = None) -> None:
@@ -145,6 +160,7 @@ class ParallelRunner:
         self.seed_param = seed_param
         self.code_version = code_version
         self.mp_context = mp_context
+        self.engine = engine
         if metrics is not None:
             self.metrics = metrics
         elif cache is not None:
@@ -173,9 +189,13 @@ class ParallelRunner:
             else None
             for p in jobs
         ]
-        fn_id, derived_version = function_fingerprint(fn)
-        version = (self.code_version if self.code_version is not None
-                   else derived_version)
+        engine = resolve_engine(self.engine)
+        if self.cache is not None:
+            fn_id = function_id(fn)
+            version = (self.code_version if self.code_version is not None
+                       else code_version_tag(fn))
+            if engine != "numpy":
+                version = f"{version}+{engine}"
 
         outcomes: List[Optional[PointOutcome]] = [None] * len(jobs)
         pending: List[int] = []
@@ -195,10 +215,15 @@ class ParallelRunner:
             pending.append(i)
 
         if self.workers > 1 and len(pending) > 1:
-            evaluated = self._run_pool(fn, jobs, seeds, pending)
+            evaluated = self._run_pool(fn, jobs, seeds, pending, engine)
         else:
-            evaluated = self._run_serial(fn, jobs, seeds, pending,
-                                         catch_errors)
+            # Without a named engine the process default already is
+            # ``engine``; leaving that global alone keeps threaded
+            # callers (``repro serve``'s job threads) off it.
+            with (use_backend(engine) if self.engine is not None
+                  else contextlib.nullcontext()):
+                evaluated = self._run_serial(fn, jobs, seeds, pending,
+                                             catch_errors)
         for i, outcome in evaluated.items():
             outcomes[i] = outcome
             # Error entries are only cached under on_error='record':
@@ -270,8 +295,8 @@ class ParallelRunner:
             self._observe(evaluated[i])
         return evaluated
 
-    def _run_pool(self, fn, jobs, seeds,
-                  pending) -> Dict[int, PointOutcome]:
+    def _run_pool(self, fn, jobs, seeds, pending,
+                  engine: str) -> Dict[int, PointOutcome]:
         _ensure_picklable(fn)
         evaluated: Dict[int, PointOutcome] = {}
         errors: Dict[int, BaseException] = {}
@@ -279,8 +304,8 @@ class ParallelRunner:
         with ProcessPoolExecutor(max_workers=workers,
                                  mp_context=self.mp_context) as pool:
             futures = {
-                pool.submit(_pool_task,
-                            (fn, i, jobs[i], seeds[i], self.seed_param))
+                pool.submit(_pool_task, (fn, i, jobs[i], seeds[i],
+                                         self.seed_param, engine))
                 for i in pending
             }
             remaining = set(futures)

@@ -104,8 +104,8 @@ class RunContext:
         defers to :func:`repro.vectorize.resolve_engine` at execution
         time.  The approximate tier ("fluid"/"hybrid") can change
         results where the exact "numpy" kernel does not, so the resolved
-        engine is recorded in the manifest's run section and joins the
-        scenario cache identity.
+        engine is recorded in the manifest's run section, and
+        :class:`~repro.exec.ParallelRunner` forks the cache key on it.
     progress:
         Optional observer ``fn(event, fields)`` for live run progress
         — per-point completions land here as ``("point", {...})`` in
@@ -223,13 +223,16 @@ class RunContext:
                seed_param: str = "seed",
                code_version: Optional[str] = None,
                cached: bool = True) -> ParallelRunner:
-        """A :class:`ParallelRunner` wired to this context's knobs."""
+        """A :class:`ParallelRunner` wired to this context's knobs,
+        the engine included: the runner applies it to every point and
+        forks the cache key on it."""
         return ParallelRunner(
             self.workers,
             cache=self.cache if cached else None,
             base_seed=base_seed,
             seed_param=seed_param,
             code_version=code_version,
+            engine=self.backend,
             metrics=self.metrics,
             on_outcome=self.point_observer(),
         )

@@ -111,25 +111,11 @@ def _outcome_payload(outcome) -> Dict[str, object]:
     }
 
 
-def _scenario_point(spec: str,
-                    engine: Optional[str] = None) -> Dict[str, object]:
+def _scenario_point(spec: str) -> Dict[str, object]:
     """Run one scenario spec end to end; module-level so the exec
     engine can fingerprint, cache and (in principle) ship it to a pool
-    exactly like any sweep target.
-
-    ``engine`` is only passed (and thus only joins the cache identity)
-    for the *approximate* tier: runs on the exact numpy kernel share one
-    cache identity with and without an explicit engine, while a
-    fluid/hybrid result may differ and can never be served to — or
-    from — a per-flow run.  Passing it explicitly also applies the
-    engine inside pool workers, which a parent-process default would
-    not survive under spawn.
-    """
-    parsed = ExperimentSpec.from_json(spec)
-    if engine is None:
-        return _outcome_payload(_run_timeline(parsed))
-    with use_backend(engine):
-        return _outcome_payload(_run_timeline(parsed))
+    exactly like any sweep target."""
+    return _outcome_payload(_run_timeline(ExperimentSpec.from_json(spec)))
 
 
 def _run_timeline(spec: ScenarioSpec, trace=None):
@@ -148,12 +134,8 @@ def _run_scenario(spec: ScenarioSpec, ctx: RunContext, version: str):
         outcome = _run_timeline(spec, ctx.tracer)
         payload = _outcome_payload(outcome)
         return RunOutput(payload, payload, outcome)
-    params: Dict[str, object] = {"spec": spec.to_json()}
-    engine = ctx.resolved_backend()
-    if engine != "numpy":
-        params["engine"] = engine
     runner = ctx.runner(code_version=version)
-    outcomes = runner.map(_scenario_point, [params])
+    outcomes = runner.map(_scenario_point, [{"spec": spec.to_json()}])
     payload = outcomes[0].value
     return RunOutput(payload, payload)
 
@@ -167,13 +149,6 @@ def _run_sweep(spec: SweepSpec, ctx: RunContext, version: str):
             f"spec {spec.name!r} asks for per-point seeds but target "
             f"{spec.target!r} is registered without a seed parameter")
     target.check_grid(spec.grid, seeded=spec.seeded)
-    # Approximate engines fork the sweep cache identity via the version
-    # tag (sweep targets take arbitrary grids, so there is no single
-    # params slot to carry the engine the way scenarios do); runs on the
-    # exact numpy kernel share entries with and without an explicit engine.
-    engine = ctx.resolved_backend()
-    if engine != "numpy":
-        version = f"{version}+{engine}"
     result = sweep(
         target.fn,
         spec.grid_mapping(),

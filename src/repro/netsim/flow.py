@@ -8,16 +8,16 @@ planner all exchange.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError
 from typing import Optional
 
 from ..errors import ConfigurationError
-from ..units import (DataRate, DataSize, TimeDelta, _new, _put_bits, _put_s,
-                     seconds)
+from ..units import (DataRate, DataSize, TimeDelta, _frozen, _new, _put_bits,
+                     _put_s, seconds)
 
 __all__ = ["FlowSpec"]
 
 
+@_frozen
 class FlowSpec:
     """One logical traffic demand between two hosts.
 
@@ -105,12 +105,6 @@ class FlowSpec:
         start = _new(TimeDelta)
         _put_s(start, self.start_s)
         return start
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def _fields(self) -> tuple:
         return (self.src, self.dst, self.size_bits, self.start_s,

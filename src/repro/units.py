@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Union
 
 from .errors import UnitError
@@ -92,6 +92,24 @@ def _check_number(value: object, what: str) -> float:
     return v
 
 
+def _frozen(cls):
+    """Make every assignment and deletion on ``cls`` raise
+    :class:`~dataclasses.FrozenInstanceError`.  Python 3.11's own frozen
+    slotted ``__setattr__`` raises ``TypeError`` for a non-field name
+    (``MB(1).bytes = 3``).  Construction sets fields through
+    ``object.__setattr__`` or slot descriptors, never through these."""
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    cls.__setattr__ = __setattr__
+    cls.__delattr__ = __delattr__
+    return cls
+
+
+@_frozen
 @dataclass(frozen=True, slots=True, order=True)
 class DataSize:
     """An amount of data, canonically stored in bits.
@@ -200,6 +218,7 @@ class DataSize:
         return f"{b:.4g} B"
 
 
+@_frozen
 @dataclass(frozen=True, slots=True, order=True)
 class DataRate:
     """Data per unit time, canonically stored in bits per second."""
@@ -295,6 +314,7 @@ class DataRate:
         return f"{v:.4g} bps"
 
 
+@_frozen
 @dataclass(frozen=True, slots=True, order=True)
 class TimeDelta:
     """A duration, canonically stored in seconds."""

@@ -1,5 +1,6 @@
 """Tests for repro.units: constructors, arithmetic, parsing, invariants."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -166,6 +167,25 @@ class TestConstructionEdgeCases:
     def test_float_stored_as_given(self, cls, attr):
         value = 1.5e9
         assert getattr(cls(value), attr) is value
+
+
+class TestFrozen:
+    """Every assignment or deletion raises FrozenInstanceError: on the
+    field, on a derived property and on a name the class never had."""
+
+    @pytest.mark.parametrize("make,name", [
+        (MB, "bits"), (MB, "bytes"), (MB, "foo"),
+        (Gbps, "bps"), (Gbps, "gbps"), (Gbps, "foo"),
+        (seconds, "s"), (seconds, "ms"), (seconds, "foo"),
+    ], ids=lambda v: v if isinstance(v, str) else v.__name__)
+    def test_assignment_and_deletion_refused(self, make, name):
+        obj = make(1)
+        before = repr(obj)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, 3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(obj, name)
+        assert repr(obj) == before
 
 
 class TestDataRate:
